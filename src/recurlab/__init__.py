@@ -11,10 +11,10 @@ report writers round out the toolbox.
 from .natset import (ArithmeticProgression, CofinitenessReport, DeltaOf,
                      DensityReport, Explicit, IntersectionOf, IpClosure,
                      Multiples, NatSet, NatSetError, RotationReturn, UnionOf,
-                     cofinite_within, density_profile, difference_set, find_ap,
-                     intersects, materialize, window_pair_witness)
-from .opcore import (SUP, Applied, BasisSystem, BlockPermutationIsometry,
-                     Diagonal, OpcoreError, Vec, WeightedBackwardShift,
+                     cofinite_within, density_profile, find_ap, intersects,
+                     window_pair_witness)
+from .opcore import (SUP, Applied, BlockPermutationIsometry, Diagonal,
+                     OpcoreError, Vec, WeightedBackwardShift,
                      basis_vec, diagonal_rotation, distance, dyadic_comb,
                      krylov_rank, unimodular_eigen_indices, vec_of, zero_vec)
 from .perturbed_rotation import (DEFAULT_MESH, GROWTH_RULES, ConstructionError,
@@ -29,7 +29,7 @@ from .perturbed_rotation import (DEFAULT_MESH, GROWTH_RULES, ConstructionError,
 from .dynamics import (DynamicsError, InclusionReport, PeriodClassification,
                        QrFailure, QrWitness, ReturnSpec,
                        classify_period_by_density, commutant_return_inclusion,
-                       detect_period, operator_norm_bound, polynomial_apply,
+                       detect_period, orbit_returns, polynomial_apply,
                        quasi_rigidity_search, return_set, subsample_return_set,
                        tuple_recurrence_probe)
 from .report import (atomic_write_text, descriptor_hash, line_plot_svg,
@@ -41,9 +41,8 @@ __all__ = [
     "ArithmeticProgression", "CofinitenessReport", "DeltaOf", "DensityReport",
     "Explicit", "IntersectionOf", "IpClosure", "Multiples", "NatSet",
     "NatSetError", "RotationReturn", "UnionOf", "cofinite_within",
-    "density_profile", "difference_set", "find_ap", "intersects",
-    "materialize", "window_pair_witness",
-    "SUP", "Applied", "BasisSystem", "BlockPermutationIsometry", "Diagonal",
+    "density_profile", "find_ap", "intersects", "window_pair_witness",
+    "SUP", "Applied", "BlockPermutationIsometry", "Diagonal",
     "OpcoreError", "Vec", "WeightedBackwardShift", "basis_vec",
     "diagonal_rotation", "distance", "dyadic_comb", "krylov_rank",
     "unimodular_eigen_indices", "vec_of", "zero_vec",
@@ -55,7 +54,7 @@ __all__ = [
     "quantize_head_functional", "recurrence_witness", "rigidity_defect",
     "DynamicsError", "InclusionReport", "PeriodClassification", "QrFailure",
     "QrWitness", "ReturnSpec", "classify_period_by_density",
-    "commutant_return_inclusion", "detect_period", "operator_norm_bound",
+    "commutant_return_inclusion", "detect_period", "orbit_returns",
     "polynomial_apply", "quasi_rigidity_search", "return_set",
     "subsample_return_set", "tuple_recurrence_probe",
     "atomic_write_text", "descriptor_hash", "line_plot_svg", "make_record",

@@ -7,7 +7,8 @@ precedence over command-line override flags; flags fill gaps the config
 leaves open.  Unknown config keys are rejected with the full field path so
 typos fail loudly instead of silently running defaults.
 
-Exit codes: 0 success, 1 computational failure, 2 bad usage or bad config.
+Exit codes: 0 success (including honest "not found" outcomes), 1 bad usage
+or bad config (non-finite numbers included), 2 internal error.
 """
 
 from __future__ import annotations
@@ -27,6 +28,28 @@ _MISSING = object()
 
 class ConfigError(Exception):
     pass
+
+
+def _require_int(value, name: str, minimum: Optional[int] = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name!r} must be an integer")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name!r} must be >= {minimum}")
+    return value
+
+
+def _require_num(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name!r} must be a number")
+    return float(value)
+
+
+def _finite(literal: str) -> float:
+    """JSON float and constant hook: NaN, Infinity and overflowing literals are refused."""
+    v = float(literal)
+    if not math.isfinite(v):
+        raise ConfigError(f"config holds a non-finite number: {literal}")
+    return v
 
 
 class Cfg:
@@ -72,20 +95,12 @@ class Cfg:
     def get_int(self, key: str, default=_MISSING, minimum: Optional[int] = None) -> int:
         if key not in self.data:
             return self.raw(key, default)
-        v = self.data[key]
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{self._at(key)!r} must be an integer")
-        if minimum is not None and v < minimum:
-            raise ConfigError(f"{self._at(key)!r} must be >= {minimum}")
-        return v
+        return _require_int(self.data[key], self._at(key), minimum)
 
     def get_num(self, key: str, default=_MISSING) -> float:
         if key not in self.data:
             return self.raw(key, default)
-        v = self.data[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{self._at(key)!r} must be a number")
-        return float(v)
+        return _require_num(self.data[key], self._at(key))
 
     def get_str(self, key: str, default=_MISSING) -> str:
         if key not in self.data:
@@ -137,47 +152,44 @@ def _parse_norm(v, where: str) -> float:
 # builders from config
 
 def family_set(cfg: Cfg, horizon: int) -> natset.NatSet:
+    return _family_generator(cfg, horizon).materialize(horizon)
+
+
+def _family_generator(cfg: Cfg, horizon: int):
     kind = cfg.get_str("kind")
     if kind == "explicit":
         cfg.allow("kind", "members")
         members = cfg.get_list("members")
         if not all(isinstance(m, int) and not isinstance(m, bool) for m in members):
             raise ConfigError(f"{cfg._at('members')!r} must hold integers")
-        gen = natset.Explicit(tuple(members))
-    elif kind == "progression":
+        return natset.Explicit(tuple(members))
+    if kind == "progression":
         cfg.allow("kind", "start", "diff")
-        gen = natset.ArithmeticProgression(cfg.get_int("start", minimum=0),
-                                           cfg.get_int("diff", minimum=1))
-    elif kind == "multiples":
+        return natset.ArithmeticProgression(cfg.get_int("start", minimum=0),
+                                            cfg.get_int("diff", minimum=1))
+    if kind == "multiples":
         cfg.allow("kind", "p")
-        gen = natset.Multiples(cfg.get_int("p", minimum=1))
-    elif kind == "ip":
+        return natset.Multiples(cfg.get_int("p", minimum=1))
+    if kind == "ip":
         cfg.allow("kind", "generators")
         gens = cfg.get_list("generators")
         if not all(isinstance(g, int) and not isinstance(g, bool) for g in gens):
             raise ConfigError(f"{cfg._at('generators')!r} must hold integers")
-        gen = natset.IpClosure(tuple(gens))
-    elif kind == "rotation-return":
+        return natset.IpClosure(tuple(gens))
+    if kind == "rotation-return":
         cfg.allow("kind", "modulus", "eps")
-        gen = natset.RotationReturn(cfg.get_int("modulus", minimum=1), cfg.get_num("eps"))
-    elif kind == "delta":
+        return natset.RotationReturn(cfg.get_int("modulus", minimum=1), cfg.get_num("eps"))
+    if kind == "delta":
         cfg.allow("kind", "base")
-        base = family_set(cfg.sub("base"), horizon)
-        gen = natset.DeltaOf(base)
-    elif kind in ("union", "intersection"):
+        return natset.DeltaOf(family_set(cfg.sub("base"), horizon))
+    if kind in ("union", "intersection"):
         cfg.allow("kind", "parts")
-        parts = cfg.get_list("parts")
-        sets = [family_set(Cfg(p, f"{cfg._at('parts')}[{i}]"), horizon)
-                for i, p in enumerate(parts)]
-        if not sets:
+        parts = tuple(_family_generator(Cfg(p, f"{cfg._at('parts')}[{i}]"), horizon)
+                      for i, p in enumerate(cfg.get_list("parts")))
+        if not parts:
             raise ConfigError(f"{cfg._at('parts')!r} must not be empty")
-        acc = sets[0]
-        for s in sets[1:]:
-            acc = acc.union(s) if kind == "union" else acc.intersection(s)
-        return acc
-    else:
-        raise ConfigError(f"{cfg._at('kind')!r}: unknown family kind {kind!r}")
-    return gen.materialize(horizon)
+        return natset.UnionOf(parts) if kind == "union" else natset.IntersectionOf(parts)
+    raise ConfigError(f"{cfg._at('kind')!r}: unknown family kind {kind!r}")
 
 
 def operator_from(cfg: Cfg) -> pr.PerturbedRotation:
@@ -254,23 +266,20 @@ class Sink:
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
 
-    def json(self, name: str, record: dict) -> None:
-        if self.want("json"):
+    def _write(self, fmt: str, name: str, writer, *content) -> None:
+        if self.want(fmt):
             p = self.path(name)
-            report.write_json(p, record)
+            writer(p, *content)
             self.written.append(p)
+
+    def json(self, name: str, record: dict) -> None:
+        self._write("json", name, report.write_json, record)
 
     def csv(self, name: str, header, rows) -> None:
-        if self.want("csv"):
-            p = self.path(name)
-            report.write_csv(p, header, rows)
-            self.written.append(p)
+        self._write("csv", name, report.write_csv, header, rows)
 
     def svg(self, name: str, text: str) -> None:
-        if self.want("svg"):
-            p = self.path(name)
-            report.write_svg(p, text)
-            self.written.append(p)
+        self._write("svg", name, report.write_svg, text)
 
 
 def _pick(cfg: Cfg, key: str, flag_value, default=_MISSING):
@@ -285,18 +294,12 @@ def _pick(cfg: Cfg, key: str, flag_value, default=_MISSING):
     return default
 
 
-def _require_int(value, name: str, minimum: Optional[int] = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name!r} must be an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name!r} must be >= {minimum}")
-    return value
-
-
-def _require_num(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name!r} must be a number")
-    return float(value)
+def _horizon_window(cfg: Cfg, args) -> tuple[int, int]:
+    """Horizon, and the density window that defaults to a tenth of it."""
+    horizon = _require_int(_pick(cfg, "horizon", args.horizon), "horizon", 0)
+    window = _require_int(_pick(cfg, "window", args.window, max(1, horizon // 10)),
+                          "window", 1)
+    return horizon, window
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +307,7 @@ def _require_num(value, name: str) -> float:
 
 def cmd_families(cfg: Cfg, args, sink: Sink) -> int:
     cfg.allow("family", "horizon", "window")
-    horizon = _require_int(_pick(cfg, "horizon", args.horizon), "horizon", 0)
-    window = _require_int(_pick(cfg, "window", args.window, max(1, horizon // 10)),
-                          "window", 1)
+    horizon, window = _horizon_window(cfg, args)
     a = family_set(cfg.sub("family"), horizon)
     prof = natset.density_profile(a, window)
     payload = {"set": a.to_json_dict(), "density": prof.to_json_dict()}
@@ -399,11 +400,9 @@ def cmd_orbit(cfg: Cfg, args, sink: Sink) -> int:
     op = operator_from(cfg.sub("operator"))
     x = vector_from(cfg.sub("vector"), op)
     eps = _require_num(_pick(cfg, "eps", args.eps), "eps")
-    horizon = _require_int(_pick(cfg, "horizon", args.horizon), "horizon", 0)
-    window = _require_int(_pick(cfg, "window", args.window, max(1, horizon // 10)),
-                          "window", 1)
+    horizon, window = _horizon_window(cfg, args)
     try:
-        hits = dynamics.return_set(op, x, eps, horizon)
+        hits, ds = dynamics.orbit_returns(op, x, eps, horizon)
     except dynamics.DynamicsError as exc:
         raise ConfigError(str(exc)) from None
     prof = natset.density_profile(hits, window)
@@ -412,8 +411,7 @@ def cmd_orbit(cfg: Cfg, args, sink: Sink) -> int:
                "descriptorHash": report.descriptor_hash(op.descriptor())}
     sink.json("orbit.json", report.make_record("orbit", cfg.data, payload))
     if sink.want("csv") or sink.want("svg"):
-        ns = list(range(horizon + 1))
-        ds = [dynamics._displacement(op, n, x) for n in ns]
+        ns = range(horizon + 1)
         sink.csv("orbit.csv", ["n", "displacement"],
                  [[n, repr(d)] for n, d in zip(ns, ds)])
         sink.svg("orbit.svg", report.line_plot_svg(
@@ -469,9 +467,7 @@ def cmd_qr_search(cfg: Cfg, args, sink: Sink) -> int:
 
 def cmd_period(cfg: Cfg, args, sink: Sink) -> int:
     cfg.allow("family", "horizon", "window", "delta")
-    horizon = _require_int(_pick(cfg, "horizon", args.horizon), "horizon", 0)
-    window = _require_int(_pick(cfg, "window", args.window, max(1, horizon // 10)),
-                          "window", 1)
+    horizon, window = _horizon_window(cfg, args)
     delta = _require_num(_pick(cfg, "delta", args.delta), "delta")
     a = family_set(cfg.sub("family"), horizon)
     try:
@@ -580,12 +576,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as f:
-            data = json.load(f)
+            data = json.load(f, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
+        return 1
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     formats = args.format if args.format else ["json"]
     sink = Sink(args.out_dir, formats)

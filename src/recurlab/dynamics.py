@@ -15,9 +15,8 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .natset import NatSet, density_profile, window_pair_witness
-from .opcore import (BlockPermutationIsometry, Diagonal, Vec,
-                     WeightedBackwardShift, basis_vec, distance)
-from .perturbed_rotation import ConstructionError, PerturbedRotation
+from .opcore import Vec, distance
+from .perturbed_rotation import PerturbedRotation
 
 
 class DynamicsError(ValueError):
@@ -42,14 +41,25 @@ def _displacement(op, n: int, x: Vec) -> float:
     return distance(op.power(n, x).vec, x)
 
 
+def _returns(times: Sequence[int], displacements: Sequence[float], spec: ReturnSpec) -> NatSet:
+    """The times whose displacement is strictly below spec.eps."""
+    return NatSet(tuple(n for n, d in zip(times, displacements) if d < spec.eps), spec.horizon)
+
+
+def orbit_returns(op, x: Vec, eps: float, horizon: int) -> tuple[NatSet, list[float]]:
+    """The return set up to the horizon and || T^n x - x || for every n in 0..horizon."""
+    spec = ReturnSpec(eps, horizon)
+    times = range(spec.horizon + 1)
+    ds = [_displacement(op, n, x) for n in times]
+    return _returns(times, ds, spec), ds
+
+
 def return_set(op, x: Vec, eps: float, horizon: int) -> NatSet:
     """{ n <= horizon : || T^n x - x || < eps }, strict inequality.
 
     n = 0 is always a member since the displacement there is exactly zero.
     """
-    spec = ReturnSpec(eps, horizon)
-    hits = [n for n in range(spec.horizon + 1) if _displacement(op, n, x) < spec.eps]
-    return NatSet(tuple(hits), spec.horizon)
+    return orbit_returns(op, x, eps, horizon)[0]
 
 
 def subsample_return_set(op, x: Vec, eps: float, candidates: Iterable[int],
@@ -64,8 +74,7 @@ def subsample_return_set(op, x: Vec, eps: float, candidates: Iterable[int],
     if hor < cand[-1]:
         raise DynamicsError("horizon below largest candidate")
     spec = ReturnSpec(eps, hor)
-    hits = [n for n in cand if _displacement(op, n, x) < spec.eps]
-    return NatSet(tuple(hits), spec.horizon)
+    return _returns(cand, [_displacement(op, n, x) for n in cand], spec)
 
 
 def tuple_recurrence_probe(op, vectors: Sequence[Vec], eps: float,
@@ -250,23 +259,6 @@ def detect_period(a: NatSet) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # commutant return inclusion
 
-def operator_norm_bound(op) -> float:
-    """Conservative norm bound for the stock operators."""
-    if isinstance(op, PerturbedRotation):
-        inv = sum((Fraction(1, op.modulus.m(k - 1))
-                   for k in range(op.head + 1, op.levels + 1)), Fraction(0))
-        mu = op.grid.norm_equiv_upper() * op.head * op.functional_bound
-        return 1.0 + mu * (float(inv) + op.modulus.tail_inverse_sum())
-    if isinstance(op, Diagonal):
-        mods = [1.0 if isinstance(e, Fraction) else abs(complex(e)) for e in op.entries]
-        return max(mods) if mods else 0.0
-    if isinstance(op, WeightedBackwardShift):
-        return abs(op.weight)
-    if isinstance(op, BlockPermutationIsometry):
-        return 1.0
-    raise DynamicsError(f"no norm bound rule for {type(op).__name__}")
-
-
 def polynomial_apply(op, coeffs: Sequence[complex], x: Vec) -> tuple[Vec, float]:
     """(sum_j c_j T^j) x via closed-form powers; returns the truncation loss too."""
     if not coeffs:
@@ -312,12 +304,12 @@ def commutant_return_inclusion(op, coeffs: Sequence[complex], x: Vec,
 
     S commutes with T, so T^n S x - S x = S (T^n x - x) and the inclusion
     holds whenever L dominates the norm of S.  L is built from the
-    conservative operator norm bound; the check scans every n up to the
+    conservative `op.norm_bound()`; the check scans every n up to the
     horizon and reports the first violation if the arithmetic ever
     disagrees with the algebra.
     """
     spec = ReturnSpec(eps, horizon)
-    base = operator_norm_bound(op)
+    base = op.norm_bound()
     scale = sum(abs(complex(c)) * base ** j for j, c in enumerate(coeffs))
     if scale <= 0:
         raise DynamicsError("polynomial norm bound vanished")

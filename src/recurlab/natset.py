@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class NatSetError(ValueError):
@@ -268,11 +268,6 @@ class IntersectionOf:
         return acc
 
 
-def materialize(generator, horizon: int) -> NatSet:
-    """Evaluate any set generator at the given horizon."""
-    return generator.materialize(horizon)
-
-
 # ---------------------------------------------------------------------------
 # density reports
 
@@ -339,7 +334,6 @@ def _longest_progression(elements: Sequence[int]) -> int:
     # classic pair DP: best[(j, d)] = length of the progression with gap d
     # ending at position j
     best: dict[tuple[int, int], int] = {}
-    index = {e: i for i, e in enumerate(elements)}
     longest = 2
     for j, ej in enumerate(elements):
         for i in range(j):
@@ -443,13 +437,6 @@ def find_ap(a: NatSet, length: int) -> Optional[tuple[int, int]]:
             if all(start + k * d in members for k in range(1, length)):
                 return (start, d)
     return None
-
-
-def difference_set(a: NatSet) -> NatSet:
-    """Positive pairwise differences, kept under the same horizon."""
-    els = a.elements
-    diffs = {b - x for i, x in enumerate(els) for b in els[i + 1:]}
-    return NatSet(tuple(sorted(d for d in diffs if d <= a.horizon)), a.horizon)
 
 
 def window_pair_witness(a: NatSet, n: int) -> Optional[int]:

@@ -5,12 +5,19 @@ p-norm (p in [1, inf]); the canonical coordinate system has basis vectors of
 norm one and coordinate functionals of dual norm one, so coordinate reads
 are 1-Lipschitz in every supported norm.
 
-Operators share a tiny protocol: `apply(x)` and `power(n, x)` both return an
-`Applied(vec, loss)` pair, where `loss` upper-bounds whatever mass the
-truncation discarded (exactly zero for maps that never push coordinates past
-dim_cap).  Powers are computed in closed form wherever the structure allows
-it, so the cost never depends on the magnitude of the exponent for rotations
-and permutations.
+Every operator here and `perturbed_rotation.PerturbedRotation` share one
+protocol:
+
+- `dim_cap` and `p`: the truncation size and the norm exponent it acts on;
+- `apply(x)` and `power(n, x)`: both return an `Applied(vec, loss)` pair,
+  where `loss` upper-bounds whatever mass the truncation discarded (exactly
+  zero for maps that never push coordinates past dim_cap);
+- `descriptor()`: the JSON-ready identity of the build;
+- `norm_bound()`: a conservative upper bound on the operator norm.
+
+Powers are computed in closed form wherever the structure allows it, so the
+cost never depends on the magnitude of the exponent for rotations and
+permutations.
 """
 
 from __future__ import annotations
@@ -28,6 +35,16 @@ from .natset import NatSet
 SUP = math.inf
 
 PhaseOrValue = Union[complex, Fraction]
+
+
+def norm_kind(p: float) -> Union[str, float]:
+    """The record spelling of a norm exponent: "sup" or the number itself."""
+    return "sup" if p == SUP else p
+
+
+def unit_phase(q: Fraction) -> complex:
+    """exp(2*pi*i*q), with q reduced modulo one exactly before any float enters."""
+    return cmath.exp(2j * math.pi * float(q % 1))
 
 
 class OpcoreError(ValueError):
@@ -64,7 +81,7 @@ class Vec:
     def to_json_dict(self) -> dict:
         return {
             "dimCap": self.dim_cap,
-            "normKind": "sup" if self.p == SUP else self.p,
+            "normKind": norm_kind(self.p),
             "coords": [[float(c.real), float(c.imag)] for c in self.coords],
         }
 
@@ -117,28 +134,18 @@ def distance(x: Vec, y: Vec) -> float:
     return Vec(x.coords - y.coords, x.p).norm()
 
 
-@dataclass(frozen=True)
-class BasisSystem:
-    """Descriptor of the canonical coordinate system on the truncation.
-
-    functional_bound is the uniform bound on the coordinate functionals; the
-    canonical system achieves 1 in every p-norm.
-    """
-
-    dim_cap: int
-    p: float = 2.0
-    functional_bound: float = 1.0
-
-
 class Applied(NamedTuple):
     vec: Vec
     loss: float
 
 
 def _phase_to_complex(entry: PhaseOrValue) -> complex:
-    if isinstance(entry, Fraction):
-        return cmath.exp(2j * math.pi * float(entry % 1))
-    return complex(entry)
+    return unit_phase(entry) if isinstance(entry, Fraction) else complex(entry)
+
+
+def _check_dim(op, x: Vec) -> None:
+    if x.dim_cap != op.dim_cap:
+        raise OpcoreError("dimension mismatch")
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,11 +168,11 @@ class Diagonal:
         return np.array([_phase_to_complex(e) for e in self.entries], dtype=np.complex128)
 
     def apply(self, x: Vec) -> Applied:
-        self._check(x)
+        _check_dim(self, x)
         return Applied(Vec(x.coords * self._values(), x.p), 0.0)
 
     def power(self, n: int, x: Vec) -> Applied:
-        self._check(x)
+        _check_dim(self, x)
         if n < 0:
             raise OpcoreError("exponent must be a natural number")
         if n == 0:
@@ -173,14 +180,10 @@ class Diagonal:
         mults = np.empty(self.dim_cap, dtype=np.complex128)
         for i, e in enumerate(self.entries):
             if isinstance(e, Fraction):
-                mults[i] = cmath.exp(2j * math.pi * float((n * e) % 1))
+                mults[i] = unit_phase(n * e)
             else:
                 mults[i] = complex(e) ** n
         return Applied(Vec(x.coords * mults, x.p), 0.0)
-
-    def _check(self, x: Vec) -> None:
-        if x.dim_cap != self.dim_cap:
-            raise OpcoreError("dimension mismatch")
 
     def descriptor(self) -> dict:
         ents = []
@@ -189,8 +192,11 @@ class Diagonal:
                 ents.append({"phase": {"num": e.numerator, "den": e.denominator}})
             else:
                 ents.append({"value": [e.real, e.imag]})
-        return {"variant": "diagonal", "entries": ents,
-                "normKind": "sup" if self.p == SUP else self.p}
+        return {"variant": "diagonal", "entries": ents, "normKind": norm_kind(self.p)}
+
+    def norm_bound(self) -> float:
+        mods = [1.0 if isinstance(e, Fraction) else abs(complex(e)) for e in self.entries]
+        return max(mods) if mods else 0.0
 
 
 def diagonal_rotation(phases: Sequence[Fraction], dim_cap: Optional[int] = None,
@@ -213,13 +219,13 @@ class WeightedBackwardShift:
     p: float = 2.0
 
     def apply(self, x: Vec) -> Applied:
-        self._check(x)
+        _check_dim(self, x)
         y = np.zeros(self.dim_cap, dtype=np.complex128)
         y[:-1] = self.weight * x.coords[1:]
         return Applied(Vec(y, x.p), 0.0)
 
     def power(self, n: int, x: Vec) -> Applied:
-        self._check(x)
+        _check_dim(self, x)
         if n < 0:
             raise OpcoreError("exponent must be a natural number")
         y = np.zeros(self.dim_cap, dtype=np.complex128)
@@ -229,14 +235,13 @@ class WeightedBackwardShift:
             y[: self.dim_cap - n] = (complex(self.weight) ** n) * x.coords[n:]
         return Applied(Vec(y, x.p), 0.0)
 
-    def _check(self, x: Vec) -> None:
-        if x.dim_cap != self.dim_cap:
-            raise OpcoreError("dimension mismatch")
-
     def descriptor(self) -> dict:
         w = complex(self.weight)
         return {"variant": "backward-shift", "weight": [w.real, w.imag],
-                "dimCap": self.dim_cap, "normKind": "sup" if self.p == SUP else self.p}
+                "dimCap": self.dim_cap, "normKind": norm_kind(self.p)}
+
+    def norm_bound(self) -> float:
+        return abs(self.weight)
 
 
 def _block_of(k: int) -> tuple[int, int]:
@@ -261,8 +266,7 @@ class BlockPermutationIsometry:
         return self.power(1, x)
 
     def power(self, n: int, x: Vec) -> Applied:
-        if x.dim_cap != self.dim_cap:
-            raise OpcoreError("dimension mismatch")
+        _check_dim(self, x)
         if n < 0:
             raise OpcoreError("exponent must be a natural number")
         y = np.zeros(self.dim_cap, dtype=np.complex128)
@@ -292,7 +296,10 @@ class BlockPermutationIsometry:
 
     def descriptor(self) -> dict:
         return {"variant": "block-permutation", "dimCap": self.dim_cap,
-                "normKind": "sup" if self.p == SUP else self.p}
+                "normKind": norm_kind(self.p)}
+
+    def norm_bound(self) -> float:
+        return 1.0
 
 
 def krylov_rank(op, x: Vec, depth: int, tol: float = 1e-9) -> int:

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .opcore import SUP, Applied, Diagonal, Vec, basis_vec, distance
+from .opcore import SUP, Applied, Diagonal, Vec, distance, norm_kind, unit_phase
 
 TWO_PI = 2.0 * math.pi
 
@@ -93,19 +93,16 @@ class ModulusLadder:
         return sum((Fraction(self.m(j), self.m(k)) for k in range(j + 1, self.levels + 1)),
                    Fraction(0))
 
-    def coupling_sum(self, j: int, include_tail: bool = True) -> Fraction:
+    def coupling_sum(self, j: int) -> Fraction:
         """Rational upper bound on the infinite sum of m_j / m_k over k > j.
 
         The finite part is exact; the part beyond the built levels is
         dominated through the growth rule by a geometric comparison.
         """
         total = self.cert_bound(j) if j <= self.levels - 1 else Fraction(0)
-        if include_tail:
-            g0 = self.growth(self.levels)
-            g1 = self.growth(self.levels + 1)
-            tail = Fraction(self.m(j), self.m(self.levels) * g0) * (1 + Fraction(2, g1))
-            total += tail
-        return total
+        g0 = self.growth(self.levels)
+        g1 = self.growth(self.levels + 1)
+        return total + Fraction(self.m(j), self.m(self.levels) * g0) * (1 + Fraction(2, g1))
 
     def tail_inverse_sum(self) -> float:
         """Upper estimate of sum_{k > levels} 1/m_{k-1}."""
@@ -165,9 +162,6 @@ class FunctionalGrid:
     @property
     def finest_mesh(self) -> float:
         return min(e.mesh for e in self.entries)
-
-    def norm_equiv_lower(self) -> float:
-        return 1.0
 
     def norm_equiv_upper(self) -> float:
         # dual-norm comparison against the sup norm of the coefficients,
@@ -263,10 +257,6 @@ def build_functional_grid(fold_n: int, mesh_levels: Sequence = DEFAULT_MESH,
 # ---------------------------------------------------------------------------
 # the operator
 
-def _unit_phase(frac: Fraction) -> complex:
-    return cmath.exp(2j * math.pi * float(frac % 1))
-
-
 def _sinc_pi(t: float) -> float:
     """sin(pi t)/(pi t) extended by 1 at zero; t in [0, 1]."""
     if t <= 0.0:
@@ -297,7 +287,7 @@ class PerturbedRotation:
         head = self.fold_n + 1
         lam = np.ones(self.dim_cap, dtype=np.complex128)
         for k in range(1, levels + 1):
-            lam[k - 1] = _unit_phase(Fraction(1, self.modulus.m(k)))
+            lam[k - 1] = unit_phase(Fraction(1, self.modulus.m(k)))
         alpha = np.array([e.alpha for e in self.grid.entries], dtype=np.complex128)
         inv_prev = np.array(
             [float(Fraction(1, self.modulus.m(k - 1))) for k in range(head + 1, levels + 1)],
@@ -306,6 +296,10 @@ class PerturbedRotation:
         object.__setattr__(self, "_lam", lam)
         object.__setattr__(self, "_alpha", alpha)
         object.__setattr__(self, "_inv_prev", inv_prev)
+        # head functionals reach the perturbation through this factor; it
+        # scales both the truncation loss and the norm bound
+        object.__setattr__(self, "_mu",
+                           self.grid.norm_equiv_upper() * self.head * self.functional_bound)
 
     # -- structure accessors ------------------------------------------------
 
@@ -331,14 +325,20 @@ class PerturbedRotation:
             "meshSchedule": [str(mq) for mq in self.mesh_levels],
             "targets": [[[c.real, c.imag] for c in t] for t in self.targets],
             "dimCap": self.dim_cap,
-            "normKind": "sup" if self.p == SUP else self.p,
+            "normKind": norm_kind(self.p),
             "functionalBound": self.functional_bound,
         }
 
+    def norm_bound(self) -> float:
+        """1 plus the coupling factor times the summed perturbation weights."""
+        inv = sum((Fraction(1, self.modulus.m(k - 1))
+                   for k in range(self.head + 1, self.levels + 1)), Fraction(0))
+        return 1.0 + self._mu * (float(inv) + self.modulus.tail_inverse_sum())
+
     # -- phase sums -----------------------------------------------------------
 
-    def _sum_parts(self, k: int, n: int) -> Optional[tuple[int, int, float, float]]:
-        """(r, folded r, sinc ratio, phase angle/pi) of the n-step phase sum."""
+    def _sum_parts(self, k: int, n: int) -> Optional[tuple[int, float, float]]:
+        """(folded r, sinc ratio, phase angle/pi) of the n-step phase sum, r = n mod m_k."""
         m = self.modulus.m(k)
         r = n % m
         if r == 0:
@@ -348,7 +348,7 @@ class PerturbedRotation:
         den = _sinc_pi(float(Fraction(1, m)))
         ratio = min(1.0, num / den)
         angle = float(Fraction(r - 1, m))
-        return r, folded, ratio, angle
+        return folded, ratio, angle
 
     def phase_sum(self, k: int, n: int) -> complex:
         """Closed form of 1 + z + ... + z^{n-1} for z the level-k unit phase.
@@ -364,7 +364,7 @@ class PerturbedRotation:
         parts = self._sum_parts(k, n)
         if parts is None:
             return 0j
-        _, folded, ratio, angle = parts
+        folded, ratio, angle = parts
         if folded > 1e306:
             raise OverflowError("phase sum magnitude exceeds float range")
         return float(folded) * ratio * cmath.exp(1j * math.pi * angle)
@@ -374,7 +374,7 @@ class PerturbedRotation:
         parts = self._sum_parts(k, n)
         if parts is None:
             return 0j
-        _, folded, ratio, angle = parts
+        folded, ratio, angle = parts
         mag = float(Fraction(folded, self.modulus.m(k - 1))) * ratio
         return mag * cmath.exp(1j * math.pi * angle)
 
@@ -392,7 +392,6 @@ class PerturbedRotation:
         Coefficients there are bounded by min(n, m_k/2)/m_{k-1}; six explicit
         terms plus a geometric remainder dominate the sum.
         """
-        mu = self.grid.norm_equiv_upper() * self.head * self.functional_bound
         total = 0.0
         last = 0.0
         for k in range(self.levels + 1, self.levels + 7):
@@ -402,7 +401,7 @@ class PerturbedRotation:
             last = float(cap / m_prev)
             total += last
         total += last  # remainder, dominated by one extra term
-        return mu * xnorm * total
+        return self._mu * xnorm * total
 
     def apply(self, x: Vec) -> Applied:
         self._check(x)
@@ -419,12 +418,7 @@ class PerturbedRotation:
             raise ConstructionError("exponent must be a natural number")
         if n == 0:
             return Applied(Vec(x.coords.copy(), x.p), 0.0)
-        y = x.coords.copy()
-        for k in range(self.head + 1, self.levels + 1):
-            m = self.modulus.m(k)
-            r = n % m
-            if r:
-                y[k - 1] *= _unit_phase(Fraction(r, m))
+        y = self._rotated(n, x)
         head = x.coords[: self.head]
         for idx, k in enumerate(range(self.head + 1, self.levels + 1)):
             c = self._pert_coeff(k, n)
@@ -432,30 +426,34 @@ class PerturbedRotation:
                 y[k - 1] += c * complex(self._alpha[idx] @ head)
         return Applied(Vec(y, x.p), self._tail_loss(x.norm(), n))
 
-    def rotation_power_distance(self, n: int, x: Vec) -> float:
-        """|| R^n x - x || with exact phase reduction per level."""
-        self._check(x)
+    def _rotated(self, n: int, x: Vec) -> np.ndarray:
+        """Coordinates of R^n x, reducing n mod m_k exactly per level."""
         y = x.coords.copy()
         for k in range(self.head + 1, self.levels + 1):
             m = self.modulus.m(k)
             r = n % m
             if r:
-                y[k - 1] *= _unit_phase(Fraction(r, m))
-        return Vec(y - x.coords, x.p).norm()
+                y[k - 1] *= unit_phase(Fraction(r, m))
+        return y
 
-    def coupling_tail(self, level: int) -> float:
-        """Bound coefficient for witness terms above `level` at time m_{level-1}.
+    def rotation_power_distance(self, n: int, x: Vec) -> float:
+        """|| R^n x - x || with exact phase reduction per level."""
+        self._check(x)
+        return Vec(self._rotated(n, x) - x.coords, x.p).norm()
 
-        Equals norm_equiv_upper * head * K * sum_{k > level} m_{level-1}/m_{k-1},
-        with the beyond-truncation part dominated by the growth rule.
+    def head_basis_defect(self, n: int) -> float:
+        """d(n) = max_i || T^n e_i - e_i || over the head basis, for n >= 1.
+
+        The rotation fixes the head, so d(n) is exactly the p-norm profile of
+        the perturbation column; everything is evaluated in closed form per
+        level.
         """
-        m_ret = self.modulus.m(level - 1)
-        s = Fraction(0)
-        for k in range(level + 1, self.levels + 1):
-            s += Fraction(m_ret, self.modulus.m(k - 1))
-        s += Fraction(m_ret, self.modulus.m(self.levels)) * (
-            1 + Fraction(2, self.modulus.growth(self.levels)))
-        return self.grid.norm_equiv_upper() * self.head * self.functional_bound * float(s)
+        coeffs = np.array([self._pert_coeff(k, n)
+                           for k in range(self.head + 1, self.levels + 1)], dtype=np.complex128)
+        per_entry = np.abs(coeffs[:, None] * self._alpha)  # rows: level, cols: basis index
+        if self.p == SUP:
+            return float(np.max(per_entry)) if per_entry.size else 0.0
+        return float(np.max(np.sum(per_entry ** self.p, axis=0) ** (1.0 / self.p)))
 
     def center_defect_floor(self) -> float:
         """The proven lower bound 1/(K*pi) on max head-basis displacement."""
@@ -620,13 +618,7 @@ class ScanReport:
 
 
 def non_recurrence_scan(op: PerturbedRotation, candidates: Iterable[int]) -> ScanReport:
-    """Minimize d(n) = max_i || T^n e_i - e_i || over the head basis.
-
-    The rotation fixes the head, so d(n) is exactly the p-norm profile of the
-    perturbation column; everything is evaluated in closed form per level.
-    """
-    head = op.head
-    alpha = op._alpha
+    """Minimize the head-basis defect `op.head_basis_defect(n)` over the candidates."""
     best = math.inf
     best_n = 0
     count = 0
@@ -634,13 +626,7 @@ def non_recurrence_scan(op: PerturbedRotation, candidates: Iterable[int]) -> Sca
         if n < 1:
             continue
         count += 1
-        coeffs = np.array([op._pert_coeff(k, n)
-                           for k in range(head + 1, op.levels + 1)], dtype=np.complex128)
-        per_entry = np.abs(coeffs[:, None] * alpha)  # rows: level, cols: basis index
-        if op.p == SUP:
-            d = float(np.max(per_entry)) if per_entry.size else 0.0
-        else:
-            d = float(np.max(np.sum(per_entry ** op.p, axis=0) ** (1.0 / op.p)))
+        d = op.head_basis_defect(n)
         if d < best:
             best, best_n = d, n
     if count == 0:

@@ -15,11 +15,15 @@ import json
 import math
 import os
 import tempfile
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 SCHEMA_VERSION = 1
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+# canvas size in pixels, and the most points drawn per series (longer series
+# are thinned by a uniform stride)
+_WIDTH, _HEIGHT, _MAX_POINTS = 720, 440, 1500
 
 
 def canonical_json(obj) -> str:
@@ -90,12 +94,11 @@ def _tick_label(v: float, log_axis: bool) -> str:
 
 def line_plot_svg(title: str, xlabel: str, ylabel: str,
                   series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
-                  width: int = 720, height: int = 440,
-                  log_y: bool = False, max_points: int = 1500) -> str:
+                  log_y: bool = False) -> str:
     """Minimal self-contained SVG chart; output depends only on the inputs."""
     margin_l, margin_r, margin_t, margin_b = 72.0, 24.0, 44.0, 56.0
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
 
     cleaned: list[tuple[str, list[float], list[float]]] = []
     for name, xs, ys in series:
@@ -103,8 +106,8 @@ def line_plot_svg(title: str, xlabel: str, ylabel: str,
                if math.isfinite(x) and math.isfinite(y)]
         if log_y:
             pts = [(x, y) for x, y in pts if y > 0]
-        if len(pts) > max_points:
-            stride = -(-len(pts) // max_points)
+        if len(pts) > _MAX_POINTS:
+            stride = -(-len(pts) // _MAX_POINTS)
             pts = pts[::stride]
         if pts:
             cleaned.append((name, [p[0] for p in pts],
@@ -133,10 +136,10 @@ def line_plot_svg(title: str, xlabel: str, ylabel: str,
         return margin_t + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{_fmt(width / 2)}" y="24" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_fmt(_WIDTH / 2)}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15" font-weight="bold">{title}</text>',
     ]
     # frame
@@ -156,7 +159,7 @@ def line_plot_svg(title: str, xlabel: str, ylabel: str,
         out.append(f'<text x="{_fmt(margin_l - 8)}" y="{_fmt(py + 4)}" '
                    f'text-anchor="end" font-family="sans-serif" font-size="11">'
                    f'{_tick_label(ty, log_y)}</text>')
-    out.append(f'<text x="{_fmt(margin_l + plot_w / 2)}" y="{_fmt(height - 14)}" '
+    out.append(f'<text x="{_fmt(margin_l + plot_w / 2)}" y="{_fmt(_HEIGHT - 14)}" '
                f'text-anchor="middle" font-family="sans-serif" font-size="12">{xlabel}</text>')
     out.append(f'<text x="18" y="{_fmt(margin_t + plot_h / 2)}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="12" '

@@ -296,7 +296,7 @@ def test_criterion_08_block_isometry_returns_and_rank_growth():
         iso = rl.BlockPermutationIsometry(2048, 2.0)
         comb = rl.dyadic_comb(2048, 2.0)
         got = set(rl.return_set(iso, comb, eps, horizon).elements)
-        want = set(rl.materialize(rl.Multiples(2 ** m_eps), horizon).elements)
+        want = set(rl.Multiples(2 ** m_eps).materialize(horizon).elements)
         if not want <= got:
             bad.append(f"eps={eps}: multiples of 2^{m_eps} missing "
                        f"{sorted(want - got)[:4]}")

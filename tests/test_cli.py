@@ -125,6 +125,22 @@ class TestConfigHandling:
                             "--out-dir", str(tmp_path / "o")], capsys)
         assert code == 1 and "eps" in err
 
+    @pytest.mark.parametrize("command, text, literal", [
+        ("construct", '{"operator": {"foldN": 2, "targets": [[NaN, 1, 0]]}}', "NaN"),
+        ("orbit", '{"operator": {"foldN": 2, "dimCap": 64}, "vector": {"kind": "entries", '
+                  '"values": [1, Infinity]}, "eps": 0.1, "horizon": 20}', "Infinity"),
+        ("orbit", '{"operator": {"foldN": 2, "dimCap": 64}, "vector": {"kind": "basis", '
+                  '"index": 4}, "eps": 1e400, "horizon": 20}', "1e400"),
+    ], ids=["nan-target", "infinite-entry", "overflowing-literal"])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, command, text, literal):
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        out_dir = tmp_path / "o"
+        code, out, err = run([command, "--config", str(p), "--out-dir", str(out_dir)], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: config holds a non-finite number: {literal}\n"
+        assert not out_dir.exists()
+
     def test_type_errors_are_config_errors(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "f.json", {
             "horizon": "soon", "family": {"kind": "multiples", "p": 5}})

@@ -1,13 +1,16 @@
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import recurlab as rl
 from recurlab import dynamics as dyn
 from recurlab import perturbed_rotation as pr
-from recurlab.natset import ArithmeticProgression, Multiples, NatSet, materialize
+from recurlab.natset import ArithmeticProgression, Multiples, NatSet
 
 
 def rotation_oracle(m, n, eps):
@@ -32,6 +35,14 @@ class TestReturnSet:
         assert 1 in rl.return_set(default_op, e4, d1 * (1 + 1e-12), 1).elements
         # strict inequality: the radius itself is excluded
         assert 1 not in rl.return_set(default_op, e4, d1, 1).elements
+
+    def test_orbit_returns_shares_one_displacement_list(self, default_op):
+        e4 = rl.basis_vec(4, default_op.dim_cap)
+        hits, ds = rl.orbit_returns(default_op, e4, 0.1, 300)
+        assert len(ds) == 301
+        assert ds[7] == rl.distance(default_op.power(7, e4).vec, e4)
+        assert hits == rl.return_set(default_op, e4, 0.1, 300)
+        assert hits.elements == tuple(n for n, d in enumerate(ds) if d < 0.1)
 
     def test_zero_always_returns(self, default_op):
         e4 = rl.basis_vec(4, default_op.dim_cap)
@@ -150,31 +161,31 @@ class TestQuasiRigiditySearch:
 
 class TestPeriodClassification:
     def test_multiples_cross_the_threshold(self):
-        a = materialize(Multiples(5), 1000)
+        a = Multiples(5).materialize(1000)
         c = rl.classify_period_by_density(a, 50, 0.1)
         assert c.dense and c.bound == 10
         assert c.period == 5 and c.witness == (5, 10)
         assert not c.fixed_point
 
     def test_below_threshold_reports_nothing(self):
-        a = materialize(Multiples(5), 1000)
+        a = Multiples(5).materialize(1000)
         c = rl.classify_period_by_density(a, 50, 0.5)
         assert not c.dense and c.bound == 2
         assert c.period is None and c.witness is None
 
     def test_consecutive_pair_flags_fixed_point(self):
-        a = materialize(Multiples(1), 60)
+        a = Multiples(1).materialize(60)
         c = rl.classify_period_by_density(a, 12, 0.6)
         assert c.dense and c.period == 1 and c.fixed_point
 
     def test_json_shape(self):
-        a = materialize(Multiples(3), 300)
+        a = Multiples(3).materialize(300)
         d = rl.classify_period_by_density(a, 30, 0.25).to_json_dict()
         assert set(d) == {"delta", "bound", "dense", "period", "witness",
                           "fixedPoint"}
 
     def test_delta_range_checked(self):
-        a = materialize(Multiples(2), 100)
+        a = Multiples(2).materialize(100)
         for bad in (0.0, -0.1, 1.0000001):
             with pytest.raises(dyn.DynamicsError):
                 rl.classify_period_by_density(a, 10, bad)
@@ -184,8 +195,8 @@ class TestPeriodClassification:
 
 class TestDetectPeriod:
     def test_progression_and_multiples(self):
-        assert rl.detect_period(materialize(ArithmeticProgression(3, 7), 100)) == 7
-        assert rl.detect_period(materialize(Multiples(4), 40)) == 4
+        assert rl.detect_period(ArithmeticProgression(3, 7).materialize(100)) == 7
+        assert rl.detect_period(Multiples(4).materialize(40)) == 4
 
     def test_non_progressions(self):
         assert rl.detect_period(NatSet((0, 1, 3), 10)) is None
@@ -193,22 +204,45 @@ class TestDetectPeriod:
         assert rl.detect_period(NatSet((), 10)) is None
 
 
+NORM_DIM = 64
+
+
+@functools.lru_cache(maxsize=None)
+def norm_test_operator(kind, p):
+    """One operator of each protocol kind on NORM_DIM coordinates."""
+    if kind == "diagonal":
+        # exact phases mixed with numeric entries of modulus up to 1.63
+        return rl.Diagonal(tuple(Fraction(1, k) if k % 3 else (1 + 0.01 * k) * np.exp(1j * k)
+                                 for k in range(1, NORM_DIM + 1)), p)
+    if kind == "backward-shift":
+        return rl.WeightedBackwardShift(1.5 - 0.5j, NORM_DIM, p)
+    if kind == "block-permutation":
+        return rl.BlockPermutationIsometry(NORM_DIM, p)
+    return rl.build_operator(2, dim_cap=NORM_DIM, p=p)
+
+
 class TestOperatorNormBound:
     def test_stock_operators(self):
         rot = rl.diagonal_rotation([Fraction(1, 3), Fraction(1, 7)])
-        assert rl.operator_norm_bound(rot) == 1.0
+        assert rot.norm_bound() == 1.0
         damped = rl.Diagonal((0.5 + 0j, 0.25j), 2.0)
-        assert rl.operator_norm_bound(damped) == 0.5
-        assert rl.operator_norm_bound(rl.WeightedBackwardShift(0.5, 8)) == 0.5
-        assert rl.operator_norm_bound(rl.BlockPermutationIsometry(16)) == 1.0
+        assert damped.norm_bound() == 0.5
+        assert rl.WeightedBackwardShift(0.5, 8).norm_bound() == 0.5
+        assert rl.BlockPermutationIsometry(16).norm_bound() == 1.0
 
     def test_perturbed_rotation_bound_is_modest(self, default_op):
-        b = rl.operator_norm_bound(default_op)
+        b = default_op.norm_bound()
         assert 1.0 < b < 10.0
 
-    def test_unknown_operator_rejected(self):
-        with pytest.raises(dyn.DynamicsError):
-            rl.operator_norm_bound(object())
+    @pytest.mark.parametrize("p", [1.0, 2.0, rl.SUP], ids=["l1", "l2", "sup"])
+    @pytest.mark.parametrize("kind", ["diagonal", "backward-shift", "block-permutation",
+                                      "perturbed-rotation"])
+    @given(coords=hnp.arrays(np.complex128, NORM_DIM, elements=st.complex_numbers(
+        max_magnitude=1e3, allow_nan=False, allow_infinity=False)))
+    def test_bounds_apply_on_random_vectors(self, kind, p, coords):
+        op = norm_test_operator(kind, p)
+        x = rl.Vec(coords, p)
+        assert op.apply(x).vec.norm() <= op.norm_bound() * x.norm() * (1 + 1e-12)
 
 
 class TestPolynomialApply:

@@ -96,9 +96,9 @@ class TestGenerators:
         base = rl.NatSet((0, 3, 7, 12), 12)
         assert rl.DeltaOf(base).materialize(12).elements == (3, 4, 5, 7, 9, 12)
 
-    def test_difference_set_helper(self):
+    def test_delta_of_at_base_horizon(self):
         a = rl.NatSet((0, 3, 7), 10)
-        assert rl.difference_set(a).elements == (3, 4, 7)
+        assert rl.DeltaOf(a).materialize(a.horizon) == rl.NatSet((3, 4, 7), 10)
 
     def test_union_intersection_composites(self):
         u = rl.UnionOf((rl.Multiples(6), rl.Multiples(10)))

@@ -150,7 +150,6 @@ class TestFunctionalGrid:
         assert pr.build_functional_grid(2, p=2.0).norm_equiv_upper() == pytest.approx(math.sqrt(3))
         assert pr.build_functional_grid(2, p=1.0).norm_equiv_upper() == 1.0
         assert pr.build_functional_grid(2, p=rl.SUP).norm_equiv_upper() == 3.0
-        assert pr.build_functional_grid(2).norm_equiv_lower() == 1.0
 
 
 class TestPhaseSum:
