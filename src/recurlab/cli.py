@@ -431,7 +431,8 @@ def cmd_qr_search(cfg: Cfg, args, sink: Sink) -> int:
     schedule = [_require_num(e, f"epsSchedule[{i}]")
                 for i, e in enumerate(cfg.get_list("epsSchedule"))]
     max_level = cfg.get_int("maxLevel", op.levels, minimum=1)
-    multipliers = cfg.get_list("multipliers", [1])
+    multipliers = [_require_int(v, f"multipliers[{i}]", 1)
+                   for i, v in enumerate(cfg.get_list("multipliers", [1]))]
     neighbors = cfg.get_bool("neighbors", False)
     scan_head = cfg.get_int("scanHead", 0, minimum=0)
     candidates = pr.lattice_candidates(op.modulus, max_level,
@@ -489,6 +490,8 @@ def cmd_krylov(cfg: Cfg, args, sink: Sink) -> int:
     if cfg.has("depths"):
         depths = [_require_int(d, f"depths[{i}]", 1)
                   for i, d in enumerate(cfg.get_list("depths"))]
+        if not depths:
+            raise ConfigError(f"{cfg._at('depths')!r} must not be empty")
     else:
         top = cfg.get_int("depth", min(op.dim_cap, 64), minimum=1)
         depths = sorted({min(1 << i, top) for i in range(top.bit_length() + 1)})

@@ -281,15 +281,14 @@ class DensityReport:
     implies lower_banach >= 1/(gap+1) - 1/window; the 1/window slack is the
     price of measuring with a finite window.
 
-    The longest-progression statistic costs O(len^2), so it is computed
+    The longest-progression statistic can cost O(len^2), so it is computed
     lazily on first access and cached.
     """
 
     def __init__(self, source: NatSet, window: int,
                  upper_banach: Fraction, lower_banach: Fraction,
                  upper_density: Fraction, lower_density: Fraction,
-                 syndetic_gap: Optional[int], max_run: int,
-                 contains_consecutive_pair: bool) -> None:
+                 syndetic_gap: Optional[int], max_run: int) -> None:
         self.horizon = source.horizon
         self.window = window
         self.upper_banach = upper_banach
@@ -298,9 +297,12 @@ class DensityReport:
         self.lower_density = lower_density
         self.syndetic_gap = syndetic_gap
         self.max_run = max_run
-        self.contains_consecutive_pair = contains_consecutive_pair
         self._source = source
         self._max_ap: Optional[int] = None
+
+    @property
+    def contains_consecutive_pair(self) -> bool:
+        return self.max_run >= 2
 
     @property
     def max_ap_length(self) -> int:
@@ -327,21 +329,27 @@ class DensityReport:
 
 
 def _longest_progression(elements: Sequence[int]) -> int:
-    if not elements:
-        return 0
-    if len(elements) == 1:
-        return 1
-    # classic pair DP: best[(j, d)] = length of the progression with gap d
-    # ending at position j
-    best: dict[tuple[int, int], int] = {}
+    """Longest arithmetic progression in the sorted elements, in O(len) memory:
+    each is walked once from its first two terms a < b, and d = b - a grows
+    with b, so once a + longest * d passes the last element no later b can do better."""
+    if len(elements) < 3:
+        return len(elements)
+    members = set(elements)
+    last = elements[-1]
     longest = 2
-    for j, ej in enumerate(elements):
-        for i in range(j):
-            d = ej - elements[i]
-            length = best.get((i, d), 1) + 1
-            best[(j, d)] = length
-            if length > longest:
-                longest = length
+    for i, a in enumerate(elements):
+        for b in elements[i + 1:]:
+            d = b - a
+            if a + longest * d > last:
+                break
+            if a - d in members:
+                continue
+            length = 2
+            nxt = b + d
+            while nxt in members:
+                length += 1
+                nxt += d
+            longest = max(longest, length)
     return longest
 
 
@@ -410,11 +418,9 @@ def density_profile(a: NatSet, window: int) -> DensityReport:
         run = run + 1 if prev is not None and e == prev + 1 else 1
         max_run = max(max_run, run)
         prev = e
-    pair = any(els[i + 1] - els[i] == 1 for i in range(len(els) - 1))
 
     return DensityReport(a, window, upper_banach, lower_banach,
-                         upper_density, lower_density, syndetic_gap,
-                         max_run, pair)
+                         upper_density, lower_density, syndetic_gap, max_run)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ protocol:
 
 Powers are computed in closed form wherever the structure allows it, so the
 cost never depends on the magnitude of the exponent for rotations and
-permutations.
+permutations.  Exact phases go through `unit_phase(num, den)`, integers in and
+one correctly rounded division; `PerturbedRotation` takes R^n from the
+`Diagonal` of its `rotation_part()`.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ def norm_kind(p: float) -> Union[str, float]:
     return "sup" if p == SUP else p
 
 
-def unit_phase(q: Fraction) -> complex:
-    """exp(2*pi*i*q), with q reduced modulo one exactly before any float enters."""
-    return cmath.exp(2j * math.pi * float(q % 1))
+def unit_phase(num: int, den: int) -> complex:
+    """exp(2*pi*i*num/den), den > 0: num is reduced mod den exactly and then
+    divided once, correctly rounded, so the angle is float(Fraction(num, den) % 1)."""
+    return cmath.exp(2j * math.pi * ((num % den) / den))
 
 
 class OpcoreError(ValueError):
@@ -139,10 +142,6 @@ class Applied(NamedTuple):
     loss: float
 
 
-def _phase_to_complex(entry: PhaseOrValue) -> complex:
-    return unit_phase(entry) if isinstance(entry, Fraction) else complex(entry)
-
-
 def _check_dim(op, x: Vec) -> None:
     if x.dim_cap != op.dim_cap:
         raise OpcoreError("dimension mismatch")
@@ -160,16 +159,25 @@ class Diagonal:
     entries: tuple[PhaseOrValue, ...]
     p: float = 2.0
 
+    def __post_init__(self) -> None:
+        values = np.array([unit_phase(e.numerator, e.denominator) if isinstance(e, Fraction)
+                           else complex(e) for e in self.entries], dtype=np.complex128)
+        # what powers move: exact phases other than whole turns, and plain values
+        turns = [(i, e.numerator, e.denominator) for i, e in enumerate(self.entries)
+                 if isinstance(e, Fraction) and e.denominator > 1]
+        plain = [(i, complex(e)) for i, e in enumerate(self.entries)
+                 if not isinstance(e, Fraction)]
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_turns", turns)
+        object.__setattr__(self, "_plain", plain)
+
     @property
     def dim_cap(self) -> int:
         return len(self.entries)
 
-    def _values(self) -> np.ndarray:
-        return np.array([_phase_to_complex(e) for e in self.entries], dtype=np.complex128)
-
     def apply(self, x: Vec) -> Applied:
         _check_dim(self, x)
-        return Applied(Vec(x.coords * self._values(), x.p), 0.0)
+        return Applied(Vec(x.coords * self._values, x.p), 0.0)
 
     def power(self, n: int, x: Vec) -> Applied:
         _check_dim(self, x)
@@ -177,12 +185,11 @@ class Diagonal:
             raise OpcoreError("exponent must be a natural number")
         if n == 0:
             return Applied(Vec(x.coords.copy(), x.p), 0.0)
-        mults = np.empty(self.dim_cap, dtype=np.complex128)
-        for i, e in enumerate(self.entries):
-            if isinstance(e, Fraction):
-                mults[i] = unit_phase(n * e)
-            else:
-                mults[i] = complex(e) ** n
+        mults = np.ones(self.dim_cap, dtype=np.complex128)
+        for i, num, den in self._turns:
+            mults[i] = unit_phase(n * num, den)
+        for i, v in self._plain:
+            mults[i] = v ** n
         return Applied(Vec(x.coords * mults, x.p), 0.0)
 
     def descriptor(self) -> dict:

@@ -16,9 +16,11 @@ basis never returns: every power moves some head basis vector by more than
 
 Numerics are arranged so that exactness survives the truncation.  Moduli are
 plain Python integers of arbitrary size, power phases reduce n mod m_k
-before any float enters, and geometric phase sums use the folded-sine form
-min(r, m-r) * sinc(pi*rho)/sinc(pi/m), which is immune to underflow for
-astronomically large moduli and never exceeds the integer envelope.
+before any float enters, a ratio of integers is one correctly rounded int
+division, R^n comes from the cached `rotation_part()`, and geometric phase
+sums use the folded-sine form min(r, m-r) * sinc(pi*rho)/sinc(pi/m), which
+is immune to underflow for astronomically large moduli and never exceeds
+the integer envelope.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .opcore import SUP, Applied, Diagonal, Vec, distance, norm_kind, unit_phase
+from .opcore import SUP, Applied, Diagonal, Vec, diagonal_rotation, distance, norm_kind
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,8 +108,8 @@ class ModulusLadder:
 
     def tail_inverse_sum(self) -> float:
         """Upper estimate of sum_{k > levels} 1/m_{k-1}."""
-        first = Fraction(1, self.m(self.levels))
-        return float(first * (1 + Fraction(2, self.growth(self.levels))))
+        g = self.growth(self.levels)
+        return (g + 2) / (self.m(self.levels) * g)
 
 
 def build_modulus_ladder(fold_n: int, levels: int, rule: str = "dyadic-sq") -> ModulusLadder:
@@ -284,22 +286,20 @@ class PerturbedRotation:
             raise ConstructionError("grid entries must pair with modulus levels one-to-one")
         if self.dim_cap < levels:
             raise ConstructionError("dim_cap must cover every built level")
-        head = self.fold_n + 1
-        lam = np.ones(self.dim_cap, dtype=np.complex128)
-        for k in range(1, levels + 1):
-            lam[k - 1] = unit_phase(Fraction(1, self.modulus.m(k)))
+        m = self.modulus.m
+        object.__setattr__(self, "_rotation", diagonal_rotation(
+            [Fraction(1, m(k)) for k in range(1, levels + 1)], self.dim_cap, self.p))
         alpha = np.array([e.alpha for e in self.grid.entries], dtype=np.complex128)
-        inv_prev = np.array(
-            [float(Fraction(1, self.modulus.m(k - 1))) for k in range(head + 1, levels + 1)],
-            dtype=np.float64,
-        )
-        object.__setattr__(self, "_lam", lam)
+        inv_prev = np.array([1 / m(k - 1) for k in range(self.head + 1, levels + 1)],
+                            dtype=np.float64)
         object.__setattr__(self, "_alpha", alpha)
         object.__setattr__(self, "_inv_prev", inv_prev)
-        # head functionals reach the perturbation through this factor; it
-        # scales both the truncation loss and the norm bound
-        object.__setattr__(self, "_mu",
-                           self.grid.norm_equiv_upper() * self.head * self.functional_bound)
+        # (2 m_{k-1}, m_k) for the six levels past the truncation, for _tail_loss
+        ext = [self.modulus.extended_m(k) for k in range(levels, levels + 7)]
+        object.__setattr__(self, "_tail", tuple(zip([2 * v for v in ext], ext[1:])))
+        # |<w_k, P x>| <= norm_equiv_upper * K * ||x|| by Holder: the factor of
+        # both the truncation loss and the norm bound
+        object.__setattr__(self, "_mu", self.grid.norm_equiv_upper() * self.functional_bound)
 
     # -- structure accessors ------------------------------------------------
 
@@ -312,9 +312,8 @@ class PerturbedRotation:
         return self.fold_n + 1
 
     def rotation_part(self) -> Diagonal:
-        phases = [Fraction(1, self.modulus.m(k)) for k in range(1, self.levels + 1)]
-        phases += [Fraction(0)] * (self.dim_cap - self.levels)
-        return Diagonal(tuple(phases), self.p)
+        """R: the exact unit phase 1/m_k on level k, identity past the levels."""
+        return self._rotation
 
     def descriptor(self) -> dict:
         return {
@@ -344,11 +343,8 @@ class PerturbedRotation:
         if r == 0:
             return None
         folded = min(r, m - r)
-        num = _sinc_pi(float(Fraction(folded, m)))
-        den = _sinc_pi(float(Fraction(1, m)))
-        ratio = min(1.0, num / den)
-        angle = float(Fraction(r - 1, m))
-        return folded, ratio, angle
+        ratio = min(1.0, _sinc_pi(folded / m) / _sinc_pi(1 / m))
+        return folded, ratio, (r - 1) / m
 
     def phase_sum(self, k: int, n: int) -> complex:
         """Closed form of 1 + z + ... + z^{n-1} for z the level-k unit phase.
@@ -375,7 +371,7 @@ class PerturbedRotation:
         if parts is None:
             return 0j
         folded, ratio, angle = parts
-        mag = float(Fraction(folded, self.modulus.m(k - 1))) * ratio
+        mag = folded / self.modulus.m(k - 1) * ratio
         return mag * cmath.exp(1j * math.pi * angle)
 
     # -- action ---------------------------------------------------------------
@@ -389,23 +385,21 @@ class PerturbedRotation:
     def _tail_loss(self, xnorm: float, n: int = 1) -> float:
         """Estimate of the perturbation the untruncated map would add past levels.
 
-        Coefficients there are bounded by min(n, m_k/2)/m_{k-1}; six explicit
-        terms plus a geometric remainder dominate the sum.
+        Coefficients there are bounded by min(n, m_k/2)/m_{k-1}, that is
+        min(2n, m_k)/(2 m_{k-1}); six explicit terms plus a geometric remainder
+        dominate the sum.
         """
         total = 0.0
         last = 0.0
-        for k in range(self.levels + 1, self.levels + 7):
-            m_prev = self.modulus.extended_m(k - 1)
-            m_k = self.modulus.extended_m(k)
-            cap = min(Fraction(n), Fraction(m_k, 2))
-            last = float(cap / m_prev)
+        for two_prev, m_k in self._tail:
+            last = min(2 * n, m_k) / two_prev
             total += last
         total += last  # remainder, dominated by one extra term
         return self._mu * xnorm * total
 
     def apply(self, x: Vec) -> Applied:
         self._check(x)
-        y = x.coords * self._lam
+        y = self._rotation.apply(x).vec.coords
         head = x.coords[: self.head]
         if len(self._inv_prev):
             y[self.head: self.levels] += (self._alpha @ head) * self._inv_prev
@@ -418,28 +412,13 @@ class PerturbedRotation:
             raise ConstructionError("exponent must be a natural number")
         if n == 0:
             return Applied(Vec(x.coords.copy(), x.p), 0.0)
-        y = self._rotated(n, x)
+        y = self._rotation.power(n, x).vec.coords
         head = x.coords[: self.head]
         for idx, k in enumerate(range(self.head + 1, self.levels + 1)):
             c = self._pert_coeff(k, n)
             if c:
                 y[k - 1] += c * complex(self._alpha[idx] @ head)
         return Applied(Vec(y, x.p), self._tail_loss(x.norm(), n))
-
-    def _rotated(self, n: int, x: Vec) -> np.ndarray:
-        """Coordinates of R^n x, reducing n mod m_k exactly per level."""
-        y = x.coords.copy()
-        for k in range(self.head + 1, self.levels + 1):
-            m = self.modulus.m(k)
-            r = n % m
-            if r:
-                y[k - 1] *= unit_phase(Fraction(r, m))
-        return y
-
-    def rotation_power_distance(self, n: int, x: Vec) -> float:
-        """|| R^n x - x || with exact phase reduction per level."""
-        self._check(x)
-        return Vec(self._rotated(n, x) - x.coords, x.p).norm()
 
     def head_basis_defect(self, n: int) -> float:
         """d(n) = max_i || T^n e_i - e_i || over the head basis, for n >= 1.
@@ -508,9 +487,11 @@ def rigidity_defect(op: PerturbedRotation, j: int, samples: Sequence[Vec]) -> Ri
     if not 1 <= j <= op.levels - 1:
         raise ConstructionError(f"level {j} outside 1..{op.levels - 1}")
     n = op.modulus.m(j)
+    rot = op.rotation_part()
     worst = 0.0
     for x in samples:
-        worst = max(worst, op.rotation_power_distance(n, x))
+        op._check(x)
+        worst = max(worst, distance(rot.power(n, x).vec, x))
     exact = op.modulus.coupling_sum(j)
     bound = TWO_PI * op.functional_bound * float(exact)
     return RigidityDefect(j, worst, bound, exact)

@@ -1,9 +1,11 @@
+import copy
 import json
 import os
 
 import pytest
 
 from recurlab import cli
+from test_acceptance import CLI_RUNS
 
 OP = {"foldN": 2, "dimCap": 64}
 
@@ -157,6 +159,67 @@ class TestConfigHandling:
         code, _, err = run(["families", "--config", cfg,
                             "--out-dir", str(tmp_path / "o")], capsys)
         assert code == 2 and "internal error" in err and "wires crossed" in err
+
+    @pytest.mark.parametrize("value", ["x", None, [], {}, 0, 1.5])
+    def test_multiplier_entries_are_validated(self, tmp_path, capsys, value):
+        cfg = write_cfg(tmp_path, "q.json", {
+            "operator": OP, "epsSchedule": [1.0], "maxLevel": 6,
+            "multipliers": [1, value]})
+        code, out, err = run(["qr-search", "--config", cfg,
+                              "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: 'multipliers[1]' must be")
+
+    def test_empty_depths_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "k.json", {
+            "operator": OP, "vector": {"kind": "dyadic-comb"}, "depths": []})
+        code, _, err = run(["krylov", "--config", cfg,
+                            "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 1 and err == "error: 'depths' must not be empty\n"
+
+
+LEAF_VALUES = ["x", True, None, [], {}, -1, 0, 1.5, 2]
+
+
+def _positions(node, path=()):
+    """The path of every value in a JSON tree, the root included."""
+    yield path
+    kids = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in kids:
+        yield from _positions(child, path + (key,))
+
+
+def _substituted(tree, path, value):
+    if not path:
+        return value
+    tree = copy.deepcopy(tree)
+    node = tree
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return tree
+
+
+class TestLeafSubstitution:
+    """Every value of every criterion-11 config, swapped for each of LEAF_VALUES.
+
+    Whatever the substitution, the command either runs (exit 0) or rejects the
+    config (exit 1); exit 2 is reserved for bugs of the program itself.
+    """
+
+    @pytest.mark.parametrize("command, base", CLI_RUNS, ids=[c for c, _ in CLI_RUNS])
+    def test_exit_code_is_zero_or_one(self, tmp_path, capsys, command, base):
+        bad = []
+        for i, path in enumerate(_positions(base)):
+            for j, value in enumerate(LEAF_VALUES):
+                cfg = write_cfg(tmp_path, f"c{i}-{j}.json", _substituted(base, path, value))
+                argv = [command, "--config", cfg, "--out-dir", str(tmp_path / f"o{i}-{j}"),
+                        "--format", "json", "--format", "csv", "--format", "svg"]
+                code, _, err = run(argv, capsys)
+                if code not in (0, 1) or "internal error" in err:
+                    bad.append(f"{list(path)} = {value!r}: exit {code}, {err.strip()}")
+        assert not bad, "\n".join(bad)
 
 
 class TestFamiliesCommand:

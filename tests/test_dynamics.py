@@ -235,6 +235,18 @@ class TestOperatorNormBound:
         assert 1.0 < b < 10.0
 
     @pytest.mark.parametrize("p", [1.0, 2.0, rl.SUP], ids=["l1", "l2", "sup"])
+    @pytest.mark.parametrize("fold", [1, 2, 3])
+    def test_perturbed_rotation_bound_within_3x_of_dense_norm(self, fold, p):
+        op = rl.build_operator(fold, dim_cap=NORM_DIM, p=p)
+        cols = [op.apply(rl.basis_vec(k, NORM_DIM, p)).vec.coords
+                for k in range(1, NORM_DIM + 1)]
+        m = np.array(cols).T
+        # induced norms: largest column sum, spectral norm, largest row sum
+        true = {1.0: np.abs(m).sum(axis=0).max(), 2.0: np.linalg.norm(m, 2),
+                rl.SUP: np.abs(m).sum(axis=1).max()}[p]
+        assert true * (1 - 1e-12) <= op.norm_bound() <= 3 * true
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, rl.SUP], ids=["l1", "l2", "sup"])
     @pytest.mark.parametrize("kind", ["diagonal", "backward-shift", "block-permutation",
                                       "perturbed-rotation"])
     @given(coords=hnp.arrays(np.complex128, NORM_DIM, elements=st.complex_numbers(

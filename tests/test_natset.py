@@ -257,6 +257,40 @@ def prof_ap(a):
     return rl.density_profile(a, 4).max_ap_length
 
 
+def pair_dp_longest_progression(elements):
+    """Oracle: the O(len^2)-memory pair DP, best[(j, d)] = length of the
+    progression with gap d ending at position j."""
+    if len(elements) < 2:
+        return len(elements)
+    best = {}
+    longest = 2
+    for j, ej in enumerate(elements):
+        for i in range(j):
+            d = ej - elements[i]
+            best[(j, d)] = best.get((i, d), 1) + 1
+            longest = max(longest, best[(j, d)])
+    return longest
+
+
+class TestLongestProgression:
+    @given(st.one_of(st.sets(st.integers(0, 40), max_size=30),
+                     st.sets(st.integers(0, 10 ** 6), max_size=40)))
+    def test_matches_pair_dp(self, els):
+        e = tuple(sorted(els))
+        assert natset._longest_progression(e) == pair_dp_longest_progression(e)
+
+    def test_progression_hidden_in_noise(self):
+        rng = random.Random(3)
+        noise = set(rng.sample(range(10 ** 5), 400))
+        e = tuple(sorted(noise | set(range(17, 10 ** 5, 1000))))
+        assert natset._longest_progression(e) == pair_dp_longest_progression(e) >= 100
+
+    def test_consecutive_pair_is_a_run_of_two(self):
+        for els, flag in [((), False), ((4,), False), ((1, 3, 5), False), ((2, 3), True)]:
+            prof = rl.density_profile(rl.NatSet(els, 10), 2)
+            assert prof.contains_consecutive_pair is flag
+
+
 class TestWindowPairWitness:
     def brute(self, a, n):
         for s in range(0, a.horizon - n + 1):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import recurlab as rl
-from recurlab.opcore import SUP, _block_of
+from recurlab.opcore import SUP, _block_of, unit_phase
 
 
 def iterate(op, n, x):
@@ -72,6 +72,17 @@ class TestVec:
         assert rl.vec_of([1], p=2.0).to_json_dict()["normKind"] == 2.0
 
 
+class TestUnitPhase:
+    @given(st.integers(-10 ** 150, 10 ** 150), st.integers(1, 10 ** 150))
+    def test_matches_exact_fraction_reduction(self, num, den):
+        want = cmath.exp(2j * math.pi * float(Fraction(num, den) % 1))
+        assert unit_phase(num, den) == want
+
+    def test_whole_turns_are_exactly_one(self):
+        assert unit_phase(0, 7) == 1 + 0j
+        assert unit_phase(-3 * 10 ** 40, 10 ** 40) == 1 + 0j
+
+
 class TestDiagonal:
     def test_exact_quarter_turn_cycles(self):
         op = rl.diagonal_rotation([Fraction(1, 4)], dim_cap=3)
@@ -94,6 +105,15 @@ class TestDiagonal:
         fast = op.power(n, x).vec
         slow, _ = iterate(op, n, x)
         assert np.max(np.abs(fast.coords - slow.coords)) < 1e-10
+
+    def test_power_reduces_phases_exactly(self):
+        op = rl.Diagonal((Fraction(3, 10 ** 30 + 7), Fraction(-2, 9), Fraction(5), 0.5j), 2.0)
+        x = rl.vec_of([1, 1, 1, 1])
+        n = 10 ** 45 + 11
+        want = [cmath.exp(2j * math.pi * float(n * Fraction(3, 10 ** 30 + 7) % 1)),
+                cmath.exp(2j * math.pi * float(n * Fraction(-2, 9) % 1)),
+                1 + 0j, 0.5j ** n]
+        assert op.power(n, x).vec.coords.tolist() == want
 
     def test_apply_loss_is_zero(self):
         op = rl.Diagonal((Fraction(1, 2),), 2.0)

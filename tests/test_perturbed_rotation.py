@@ -269,6 +269,37 @@ class TestOperatorAction:
         assert 0 < small < 1e-30
 
 
+class TestTruncationLoss:
+    """`loss` bounds what the truncation drops.
+
+    A deeper build with the same ladder prefix (min_levels) computes the
+    coordinates the shallow build discards; past the shallow levels its
+    T^n x must have norm at most the shallow loss.
+    """
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, rl.SUP], ids=["l1", "l2", "sup"])
+    @pytest.mark.parametrize("fold", [1, 2, 3])
+    def test_deep_tail_within_shallow_loss(self, fold, p):
+        shallow = pr.build_operator(fold, dim_cap=80, p=p)
+        levels = shallow.levels
+        deep = pr.build_operator(fold, dim_cap=80, p=p, min_levels=levels + 6)
+        assert deep.modulus.values[:levels] == shallow.modulus.values
+        rs = np.random.RandomState(fold)
+        c = np.zeros(80, dtype=np.complex128)
+        c[:levels] = rs.standard_normal(levels) + 1j * rs.standard_normal(levels)
+        times = set(range(1, 200))
+        for j in range(1, levels + 1):
+            m = shallow.modulus.m(j)
+            times |= {k * m + d for k in (1, 2, 3) for d in (-1, 0, 1) if k * m + d >= 1}
+        # e_1 meets its unit coordinate functionals with equality in Holder,
+        # so in the 1-norm the bound is attained up to m_L / m_{L+1}
+        for x in (rl.Vec(c, p), rl.basis_vec(1, 80, p)):
+            for n in sorted(times):
+                near, far = shallow.power(n, x), deep.power(n, x)
+                assert np.array_equal(near.vec.coords[:levels], far.vec.coords[:levels])
+                assert rl.Vec(far.vec.coords[levels:], p).norm() <= near.loss
+
+
 class TestBuildOperator:
     def test_padding_reaches_min_levels(self):
         op = pr.build_operator(2, mesh_levels=[1, Fraction(1, 2)], min_levels=12)
@@ -319,6 +350,12 @@ class TestRigidity:
     def test_bound_exact_includes_unbuilt_tail(self, default_op):
         r = pr.rigidity_defect(default_op, 5, [rl.basis_vec(1, default_op.dim_cap)])
         assert r.bound_exact > default_op.modulus.cert_bound(5)
+
+    def test_sample_space_checked(self, default_op):
+        with pytest.raises(pr.ConstructionError):
+            pr.rigidity_defect(default_op, 3, [rl.basis_vec(1, default_op.dim_cap + 1)])
+        with pytest.raises(pr.ConstructionError):
+            pr.rigidity_defect(default_op, 3, [rl.basis_vec(1, default_op.dim_cap, p=1.0)])
 
     def test_level_range_checked(self, default_op):
         with pytest.raises(pr.ConstructionError):
