@@ -29,7 +29,7 @@ from .perturbed_rotation import (DEFAULT_MESH, GROWTH_RULES, ConstructionError,
 from .dynamics import (DynamicsError, InclusionReport, PeriodClassification,
                        QrFailure, QrWitness, ReturnSpec,
                        classify_period_by_density, commutant_return_inclusion,
-                       detect_period, orbit_returns, polynomial_apply,
+                       detect_period, displacements, orbit_returns, polynomial_apply,
                        quasi_rigidity_search, return_set, subsample_return_set,
                        tuple_recurrence_probe)
 from .report import (atomic_write_text, descriptor_hash, line_plot_svg,
@@ -54,7 +54,7 @@ __all__ = [
     "quantize_head_functional", "recurrence_witness", "rigidity_defect",
     "DynamicsError", "InclusionReport", "PeriodClassification", "QrFailure",
     "QrWitness", "ReturnSpec", "classify_period_by_density",
-    "commutant_return_inclusion", "detect_period", "orbit_returns",
+    "commutant_return_inclusion", "detect_period", "displacements", "orbit_returns",
     "polynomial_apply", "quasi_rigidity_search", "return_set",
     "subsample_return_set", "tuple_recurrence_probe",
     "atomic_write_text", "descriptor_hash", "line_plot_svg", "make_record",

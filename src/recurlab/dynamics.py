@@ -1,12 +1,16 @@
 """Return-time dynamics on truncated sequence space operators.
 
-Everything here works through the closed-form `power(n, x)` of the operator,
-so a distance at time n costs the same whether n is 7 or 10**40.  Return sets
-land in `natset.NatSet` and can be fed straight into the density machinery.
+Every probe reads its distances from one evaluator, `displacements(op, ns, x)`
+(defined in `opcore`, beside the kernels), which hands the operator's
+closed-form `powers(ns, x)` blocks of `opcore.CHUNK` times, so a distance at
+time n costs the same whether n is 7 or 10**40 and scratch memory does not
+grow with the horizon.  Return sets land in `natset.NatSet` and can be fed
+straight into the density machinery.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,7 +19,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .natset import NatSet, density_profile, window_pair_witness
-from .opcore import Vec, distance
+from .opcore import Vec, displacements
 from .perturbed_rotation import PerturbedRotation
 
 
@@ -37,10 +41,6 @@ class ReturnSpec:
             raise DynamicsError("horizon must be a natural number")
 
 
-def _displacement(op, n: int, x: Vec) -> float:
-    return distance(op.power(n, x).vec, x)
-
-
 def _returns(times: Sequence[int], displacements: Sequence[float], spec: ReturnSpec) -> NatSet:
     """The times whose displacement is strictly below spec.eps."""
     return NatSet(tuple(n for n, d in zip(times, displacements) if d < spec.eps), spec.horizon)
@@ -50,7 +50,7 @@ def orbit_returns(op, x: Vec, eps: float, horizon: int) -> tuple[NatSet, list[fl
     """The return set up to the horizon and || T^n x - x || for every n in 0..horizon."""
     spec = ReturnSpec(eps, horizon)
     times = range(spec.horizon + 1)
-    ds = [_displacement(op, n, x) for n in times]
+    ds = list(displacements(op, times, x))
     return _returns(times, ds, spec), ds
 
 
@@ -74,7 +74,7 @@ def subsample_return_set(op, x: Vec, eps: float, candidates: Iterable[int],
     if hor < cand[-1]:
         raise DynamicsError("horizon below largest candidate")
     spec = ReturnSpec(eps, hor)
-    return _returns(cand, [_displacement(op, n, x) for n in cand], spec)
+    return _returns(cand, list(displacements(op, cand, x)), spec)
 
 
 def tuple_recurrence_probe(op, vectors: Sequence[Vec], eps: float,
@@ -82,10 +82,9 @@ def tuple_recurrence_probe(op, vectors: Sequence[Vec], eps: float,
     """Least candidate time moving every vector by less than eps, if any."""
     if eps <= 0:
         raise DynamicsError("eps must be positive")
-    for n in sorted(set(int(c) for c in candidates)):
-        if n < 1:
-            continue
-        if all(_displacement(op, n, x) < eps for x in vectors):
+    times = [n for n in sorted(set(int(c) for c in candidates)) if n >= 1]
+    for n, *ds in zip(times, *(displacements(op, times, x) for x in vectors)):
+        if all(d < eps for d in ds):
             return n
     return None
 
@@ -177,10 +176,9 @@ def quasi_rigidity_search(op, samples: Sequence[Vec], eps_schedule: Sequence[flo
         chosen = None
         best_d = math.inf
         best_n = 0
-        for n in cand:
-            if n <= prev:
-                continue
-            d = max(_displacement(op, n, x) for x in samples)
+        later = [n for n in cand if n > prev]
+        for n, *ds in zip(later, *(displacements(op, later, x) for x in samples)):
+            d = max(ds)
             if d < best_d:
                 best_d, best_n = d, n
             if d <= eps:
@@ -260,18 +258,18 @@ def detect_period(a: NatSet) -> Optional[int]:
 # commutant return inclusion
 
 def polynomial_apply(op, coeffs: Sequence[complex], x: Vec) -> tuple[Vec, float]:
-    """(sum_j c_j T^j) x via closed-form powers; returns the truncation loss too."""
+    """(sum_j c_j T^j) x from one block of closed-form powers; returns the truncation loss too."""
     if not coeffs:
         raise DynamicsError("empty polynomial")
+    rows = op.powers(range(len(coeffs)), x)
     acc = np.zeros_like(x.coords)
     loss = 0.0
     for j, c in enumerate(coeffs):
         cj = complex(c)
         if cj == 0:
             continue
-        applied = op.power(j, x)
-        acc = acc + cj * applied.vec.coords
-        loss += abs(cj) * applied.loss
+        acc = acc + cj * rows[j]
+        loss += abs(cj) * op.loss(j, x)
     return Vec(acc, x.p), loss
 
 
@@ -317,10 +315,13 @@ def commutant_return_inclusion(op, coeffs: Sequence[complex], x: Vec,
     tight = spec.eps / scale
     first = None
     count = 0
-    for n in range(spec.horizon + 1):
-        if _displacement(op, n, x) < tight:
-            count += 1
-            if not _displacement(op, n, sx) < spec.eps:
-                first = n
-                break
+    times = range(spec.horizon + 1)
+    # the tight return times, read twice: to list them and to move S x by them
+    returns, again = itertools.tee(n for n, d in zip(times, displacements(op, times, x))
+                                   if d < tight)
+    for n, d in zip(returns, displacements(op, again, sx)):
+        count += 1
+        if not d < spec.eps:
+            first = n
+            break
     return InclusionReport(first is None, first, spec.horizon + 1, scale, count, loss)

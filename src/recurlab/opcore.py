@@ -9,26 +9,34 @@ Every operator here and `perturbed_rotation.PerturbedRotation` share one
 protocol:
 
 - `dim_cap` and `p`: the truncation size and the norm exponent it acts on;
-- `apply(x)` and `power(n, x)`: both return an `Applied(vec, loss)` pair,
-  where `loss` upper-bounds whatever mass the truncation discarded (exactly
-  zero for maps that never push coordinates past dim_cap);
+- `powers(ns, x)`: the rows T^n x for a block of natural times, as a
+  `(len(ns), dim_cap)` complex array; the one kernel every probe runs on,
+  through `displacements(op, ns, x)`, which feeds it CHUNK times at a time;
+- `power(n, x)`: its one-row case, an `Applied(vec, loss)` pair with
+  `loss(n, x)` beside it, where `loss` upper-bounds whatever mass the
+  truncation discarded (exactly zero for maps that never push coordinates
+  past dim_cap);
+- `apply(x)`: one step, also an `Applied` pair;
 - `descriptor()`: the JSON-ready identity of the build;
 - `norm_bound()`: a conservative upper bound on the operator norm.
 
-Powers are computed in closed form wherever the structure allows it, so the
-cost never depends on the magnitude of the exponent for rotations and
-permutations.  Exact phases go through `unit_phase(num, den)`, integers in and
-one correctly rounded division; `PerturbedRotation` takes R^n from the
-`Diagonal` of its `rotation_part()`.
+Powers are computed in closed form, elementwise in n, so the cost never
+depends on the magnitude of the exponent for rotations and permutations.
+Exact phases reduce (n * num) mod den exactly (`Moduli.residues`: int64
+where it cannot overflow, Python ints otherwise) before one division;
+plain complex entries are raised by binary exponentiation (`int_powers`).
+`PerturbedRotation` takes R^n from the `Diagonal` of its `rotation_part()`.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -52,6 +60,84 @@ def unit_phase(num: int, den: int) -> complex:
 
 class OpcoreError(ValueError):
     pass
+
+
+# int64 holds every product n * num below this without overflow
+_I64_SAFE = 1 << 62
+_I64_MAX = (1 << 63) - 1
+
+
+def natural_times(ns: Iterable[int], error: type) -> list[int]:
+    """The times as Python ints; a negative one raises `error`."""
+    times = [operator.index(n) for n in ns]
+    if times and min(times) < 0:
+        raise error("exponent must be a natural number")
+    return times
+
+
+class Moduli:
+    """Exact phases num_j/den_j (den_j > 0), prepared once for blocks of times.
+
+    `residues` reduces n * num_j mod den_j exactly: in int64 while every
+    product stays below 2^62 in magnitude, in Python ints otherwise.
+    `ratio` divides column j of such an array by den_j: int/int true
+    division, correctly rounded, for Python ints; for int64, division by
+    den_j rounded to a float (cut by a power of two first when it is past
+    float range), which lands within two ulps of that.
+    """
+
+    def __init__(self, nums: Sequence[int], dens: Sequence[int]) -> None:
+        self._reach = max(map(abs, nums), default=0)
+        # a modulus past int64 exceeds every int64 product and leaves it as it
+        # is, so it is clipped; a negative num needs its true modulus
+        self._int64 = None
+        if self._reach < _I64_SAFE and all(v >= 0 or d <= _I64_MAX for v, d in zip(nums, dens)):
+            self._int64 = (np.array(nums, dtype=np.int64),
+                           np.array([min(d, _I64_MAX) for d in dens], dtype=np.int64))
+        self._objects = (np.array(nums, dtype=object), np.array(dens, dtype=object))
+        shift = [max(0, d.bit_length() - 1000) for d in dens]
+        self._floats = np.array([float(d >> s) for d, s in zip(dens, shift)])
+        self._shift = -np.array(shift, dtype=np.int64) if any(shift) else None
+
+    def residues(self, ns: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """(r, d): r[t, j] = (ns[t] * num_j) mod den_j, d the moduli in r's dtype."""
+        if self._int64 is not None and max(ns, default=0) * self._reach < _I64_SAFE:
+            nums, dens = self._int64
+            return np.array(ns, dtype=np.int64)[:, None] * nums % dens, dens
+        nums, dens = self._objects
+        return np.array(ns, dtype=object)[:, None] * nums % dens, dens
+
+    def ratio(self, a: np.ndarray) -> np.ndarray:
+        """a[:, j] / den_j as float64, for a as `residues` returns it."""
+        if a.dtype == object:
+            return (a / self._objects[1]).astype(np.float64)
+        q = a / self._floats
+        return q if self._shift is None else np.ldexp(q, self._shift)
+
+
+def int_powers(v: complex, ns: Sequence[int]) -> np.ndarray:
+    """v ** n for every natural n in ns, by binary exponentiation.
+
+    The products are those of CPython's `c_powu`, in the same order, so for
+    n <= 100, where `complex.__pow__` uses it, the values are bit-identical.
+    Past that CPython goes through a float exponent, which loses the phase of
+    a unit v (`1j ** 101` has real part 4.4e-15); here +-1 and +-1j stay exact.
+    """
+    top = max(ns, default=0)
+    n = np.array(ns, dtype=np.int64 if top <= _I64_MAX else object)
+    re, im = np.ones(len(ns)), np.zeros(len(ns))
+    p = complex(v)
+    with np.errstate(all="ignore"):  # only rows whose bit is set keep a product
+        for k in range(top.bit_length()):
+            hit = ((n >> k) & 1).astype(bool)
+            re, im = (np.where(hit, re * p.real - im * p.imag, re),
+                      np.where(hit, re * p.imag + im * p.real, im))
+            p = p * p
+    if cmath.isfinite(v) and not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise OverflowError("complex exponentiation")
+    out = np.empty(len(ns), dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,9 +223,48 @@ def distance(x: Vec, y: Vec) -> float:
     return Vec(x.coords - y.coords, x.p).norm()
 
 
+def row_norms(rows: np.ndarray, p: float) -> np.ndarray:
+    """`Vec.norm` of every row of a 2-D coordinate array."""
+    if rows.shape[1] == 0:
+        return np.zeros(len(rows))
+    return np.linalg.norm(rows, ord=p, axis=1)
+
+
+# times per kernel call: scratch memory stays at CHUNK x dim_cap coordinates
+# whatever the horizon
+CHUNK = 256
+
+
+def blocks(ns: Iterable[int]) -> Iterator[list[int]]:
+    """The times of ns in order, in lists of at most CHUNK."""
+    times = iter(ns)
+    while block := list(itertools.islice(times, CHUNK)):
+        yield block
+
+
+def displacements(op, ns: Iterable[int], x: Vec) -> Iterator[float]:
+    """|| T^n x - x || for each n of ns in order, one block of times per `powers` call.
+
+    Lazy: a caller that stops reading early leaves at most one block unused.
+    """
+    for block in blocks(ns):
+        yield from row_norms(op.powers(block, x) - x.coords, x.p).tolist()
+
+
 class Applied(NamedTuple):
     vec: Vec
     loss: float
+
+
+class Operator:
+    """`power(n, x)` as the one-row case of the operator's `powers(ns, x)`."""
+
+    def power(self, n: int, x: Vec) -> Applied:
+        return Applied(Vec(self.powers([n], x)[0], x.p), self.loss(n, x))
+
+    def loss(self, n: int, x: Vec) -> float:
+        """Upper bound on the mass of T^n x the truncation discards: none by default."""
+        return 0.0
 
 
 def _check_dim(op, x: Vec) -> None:
@@ -148,7 +273,7 @@ def _check_dim(op, x: Vec) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class Diagonal:
+class Diagonal(Operator):
     """Coordinatewise multiplication.
 
     Entries given as Fractions are exact rotation phases: a Fraction q stands
@@ -162,13 +287,15 @@ class Diagonal:
     def __post_init__(self) -> None:
         values = np.array([unit_phase(e.numerator, e.denominator) if isinstance(e, Fraction)
                            else complex(e) for e in self.entries], dtype=np.complex128)
-        # what powers move: exact phases other than whole turns, and plain values
+        # what powers move: exact phases other than whole turns, as (indices,
+        # numerators, denominators), and plain values
         turns = [(i, e.numerator, e.denominator) for i, e in enumerate(self.entries)
                  if isinstance(e, Fraction) and e.denominator > 1]
         plain = [(i, complex(e)) for i, e in enumerate(self.entries)
                  if not isinstance(e, Fraction)]
+        idx, nums, dens = tuple(map(list, zip(*turns))) or ([], [], [])
         object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_turns", turns)
+        object.__setattr__(self, "_turns", (np.array(idx, dtype=np.intp), Moduli(nums, dens)))
         object.__setattr__(self, "_plain", plain)
 
     @property
@@ -179,18 +306,16 @@ class Diagonal:
         _check_dim(self, x)
         return Applied(Vec(x.coords * self._values, x.p), 0.0)
 
-    def power(self, n: int, x: Vec) -> Applied:
+    def powers(self, ns: Iterable[int], x: Vec) -> np.ndarray:
         _check_dim(self, x)
-        if n < 0:
-            raise OpcoreError("exponent must be a natural number")
-        if n == 0:
-            return Applied(Vec(x.coords.copy(), x.p), 0.0)
-        mults = np.ones(self.dim_cap, dtype=np.complex128)
-        for i, num, den in self._turns:
-            mults[i] = unit_phase(n * num, den)
+        ns = natural_times(ns, OpcoreError)
+        mults = np.ones((len(ns), self.dim_cap), dtype=np.complex128)
+        idx, turns = self._turns
+        if len(idx):
+            mults[:, idx] = np.exp(2j * np.pi * turns.ratio(turns.residues(ns)[0]))
         for i, v in self._plain:
-            mults[i] = v ** n
-        return Applied(Vec(x.coords * mults, x.p), 0.0)
+            mults[:, i] = int_powers(v, ns)
+        return x.coords * mults
 
     def descriptor(self) -> dict:
         ents = []
@@ -218,7 +343,7 @@ def diagonal_rotation(phases: Sequence[Fraction], dim_cap: Optional[int] = None,
 
 
 @dataclass(frozen=True, eq=False)
-class WeightedBackwardShift:
+class WeightedBackwardShift(Operator):
     """e_k maps to weight * e_{k-1}, and e_1 maps to zero."""
 
     weight: complex
@@ -231,16 +356,14 @@ class WeightedBackwardShift:
         y[:-1] = self.weight * x.coords[1:]
         return Applied(Vec(y, x.p), 0.0)
 
-    def power(self, n: int, x: Vec) -> Applied:
+    def powers(self, ns: Iterable[int], x: Vec) -> np.ndarray:
+        """Row n is weight^n times the window x_{n+1}, x_{n+2}, ..., zero past the cap."""
         _check_dim(self, x)
-        if n < 0:
-            raise OpcoreError("exponent must be a natural number")
-        y = np.zeros(self.dim_cap, dtype=np.complex128)
-        if n == 0:
-            y[:] = x.coords
-        elif n < self.dim_cap:
-            y[: self.dim_cap - n] = (complex(self.weight) ** n) * x.coords[n:]
-        return Applied(Vec(y, x.p), 0.0)
+        d = self.dim_cap
+        steps = [min(n, d) for n in natural_times(ns, OpcoreError)]
+        window = np.append(x.coords, 0)[np.minimum(np.array(steps)[:, None] + np.arange(d), d)]
+        # no weight power where nothing is left
+        return int_powers(self.weight, [s if s < d else 0 for s in steps])[:, None] * window
 
     def descriptor(self) -> dict:
         w = complex(self.weight)
@@ -258,7 +381,7 @@ def _block_of(k: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True, eq=False)
-class BlockPermutationIsometry:
+class BlockPermutationIsometry(Operator):
     """Cyclic forward shift on each dyadic block {2^m + 1, ..., 2^{m+1}}.
 
     Coordinate 1 is fixed; inside a block each coordinate moves forward one
@@ -269,37 +392,38 @@ class BlockPermutationIsometry:
     dim_cap: int
     p: float = 2.0
 
+    def __post_init__(self) -> None:
+        # per coordinate: the 0-based start and the length of its block, and
+        # whether dim_cap cuts the block
+        spans = ([(1, 1)] + [_block_of(k) for k in range(2, self.dim_cap + 1)])[: self.dim_cap]
+        cut = np.array([hi > self.dim_cap for _, hi in spans], dtype=bool)
+        object.__setattr__(self, "_lo", np.array([lo - 1 for lo, _ in spans], dtype=np.int64))
+        object.__setattr__(self, "_size", np.array([hi - lo + 1 for lo, hi in spans],
+                                                   dtype=np.int64))
+        object.__setattr__(self, "_cut", cut)
+        # every whole cycle length divides the longest one
+        object.__setattr__(self, "_period", int(self._size[~cut].max(initial=1)))
+
     def apply(self, x: Vec) -> Applied:
         return self.power(1, x)
 
-    def power(self, n: int, x: Vec) -> Applied:
+    def powers(self, ns: Iterable[int], x: Vec) -> np.ndarray:
+        """Row n gathers each coordinate from n slots back in its block."""
         _check_dim(self, x)
-        if n < 0:
-            raise OpcoreError("exponent must be a natural number")
-        y = np.zeros(self.dim_cap, dtype=np.complex128)
-        dropped = np.zeros(self.dim_cap, dtype=np.complex128)
-        if n == 0:
-            y[:] = x.coords
-            return Applied(Vec(y, x.p), 0.0)
-        for k in range(1, self.dim_cap + 1):
-            v = x.coords[k - 1]
-            if v == 0:
-                continue
-            if k == 1:
-                y[0] += v
-                continue
-            lo, hi = _block_of(k)
-            if hi <= self.dim_cap:
-                pos = lo + (k - lo + n) % (hi - lo + 1)
-                y[pos - 1] += v
-            else:
-                pos = k + n
-                if pos <= self.dim_cap:
-                    y[pos - 1] += v
-                else:
-                    dropped[k - 1] = v
-        loss = Vec(dropped, x.p).norm()
-        return Applied(Vec(y, x.p), loss)
+        ns = natural_times(ns, OpcoreError)
+        d, lo = self.dim_cap, self._lo
+        turn = np.array([n % self._period for n in ns], dtype=np.int64)[:, None]
+        walk = np.array([min(n, d) for n in ns], dtype=np.int64)[:, None]
+        j = np.arange(d)
+        src = np.where(self._cut, j - walk, lo + (j - lo - turn) % self._size)
+        # a cut block has nothing to gather from before its start
+        return np.append(x.coords, 0)[np.where(src >= lo, src, d)]
+
+    def loss(self, n: int, x: Vec) -> float:
+        """Norm of the coordinates of cut blocks that n steps push past dim_cap."""
+        _check_dim(self, x)
+        gone = self._cut & (np.arange(1, self.dim_cap + 1) + min(n, self.dim_cap) > self.dim_cap)
+        return Vec(np.where(gone, x.coords, 0), x.p).norm()
 
     def descriptor(self) -> dict:
         return {"variant": "block-permutation", "dimCap": self.dim_cap,

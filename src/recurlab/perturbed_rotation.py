@@ -16,11 +16,13 @@ basis never returns: every power moves some head basis vector by more than
 
 Numerics are arranged so that exactness survives the truncation.  Moduli are
 plain Python integers of arbitrary size, power phases reduce n mod m_k
-before any float enters, a ratio of integers is one correctly rounded int
-division, R^n comes from the cached `rotation_part()`, and geometric phase
-sums use the folded-sine form min(r, m-r) * sinc(pi*rho)/sinc(pi/m), which
-is immune to underflow for astronomically large moduli and never exceeds
-the integer envelope.
+exactly before any float enters (int64 where it cannot overflow, Python ints
+otherwise), and each ratio of integers is one division: int/int, correctly
+rounded, at ladder scale.  `powers` evaluates a block of times at every
+level at once, R^n comes from the cached `rotation_part()`, and geometric
+phase sums use the folded-sine form min(r, m-r) * sinc(pi*rho)/sinc(pi/m),
+which is immune to underflow for astronomically large moduli and never
+exceeds the integer envelope.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .opcore import SUP, Applied, Diagonal, Vec, diagonal_rotation, distance, norm_kind
+from .opcore import (SUP, Applied, Diagonal, Moduli, Operator, Vec, blocks, diagonal_rotation,
+                     displacements, distance, natural_times, norm_kind)
 
 TWO_PI = 2.0 * math.pi
 
@@ -259,16 +262,14 @@ def build_functional_grid(fold_n: int, mesh_levels: Sequence = DEFAULT_MESH,
 # ---------------------------------------------------------------------------
 # the operator
 
-def _sinc_pi(t: float) -> float:
-    """sin(pi t)/(pi t) extended by 1 at zero; t in [0, 1]."""
-    if t <= 0.0:
-        return 1.0
-    x = math.pi * t
-    return math.sin(x) / x
+def _sinc_pi(t):
+    """sin(pi t)/(pi t) extended by 1 at zero, elementwise; t in [0, 1]."""
+    x = np.pi * np.asarray(t, dtype=np.float64)
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x > 0)
 
 
 @dataclass(frozen=True, eq=False)
-class PerturbedRotation:
+class PerturbedRotation(Operator):
     fold_n: int
     modulus: ModulusLadder
     grid: FunctionalGrid
@@ -294,7 +295,13 @@ class PerturbedRotation:
                             dtype=np.float64)
         object.__setattr__(self, "_alpha", alpha)
         object.__setattr__(self, "_inv_prev", inv_prev)
-        # (2 m_{k-1}, m_k) for the six levels past the truncation, for _tail_loss
+        # m_k, m_{k-1} and sinc(pi/m_k) of the perturbed levels k = head+1..levels
+        pert = self.modulus.values[self.head:]
+        ones = [1] * len(pert)
+        object.__setattr__(self, "_pert", (Moduli(ones, pert),
+                                           Moduli(ones, self.modulus.values[self.head - 1:-1]),
+                                           _sinc_pi([1 / v for v in pert])))
+        # (2 m_{k-1}, m_k) for the six levels past the truncation, for loss
         ext = [self.modulus.extended_m(k) for k in range(levels, levels + 7)]
         object.__setattr__(self, "_tail", tuple(zip([2 * v for v in ext], ext[1:])))
         # |<w_k, P x>| <= norm_equiv_upper * K * ||x|| by Holder: the factor of
@@ -336,16 +343,6 @@ class PerturbedRotation:
 
     # -- phase sums -----------------------------------------------------------
 
-    def _sum_parts(self, k: int, n: int) -> Optional[tuple[int, float, float]]:
-        """(folded r, sinc ratio, phase angle/pi) of the n-step phase sum, r = n mod m_k."""
-        m = self.modulus.m(k)
-        r = n % m
-        if r == 0:
-            return None
-        folded = min(r, m - r)
-        ratio = min(1.0, _sinc_pi(folded / m) / _sinc_pi(1 / m))
-        return folded, ratio, (r - 1) / m
-
     def phase_sum(self, k: int, n: int) -> complex:
         """Closed form of 1 + z + ... + z^{n-1} for z the level-k unit phase.
 
@@ -357,22 +354,25 @@ class PerturbedRotation:
             raise ConstructionError(f"level {k} outside {self.head + 1}..{self.levels}")
         if n < 1:
             raise ConstructionError("n must be >= 1")
-        parts = self._sum_parts(k, n)
-        if parts is None:
+        m = self.modulus.m(k)
+        r = n % m
+        if r == 0:
             return 0j
-        folded, ratio, angle = parts
+        folded = min(r, m - r)
         if folded > 1e306:
             raise OverflowError("phase sum magnitude exceeds float range")
-        return float(folded) * ratio * cmath.exp(1j * math.pi * angle)
+        shrink = min(1.0, float(_sinc_pi(folded / m) / _sinc_pi(1 / m)))
+        return float(folded) * shrink * cmath.exp(1j * math.pi * ((r - 1) / m))
 
-    def _pert_coeff(self, k: int, n: int) -> complex:
-        """phase_sum(k, n) / m_{k-1}, computed as a ratio so it never overflows."""
-        parts = self._sum_parts(k, n)
-        if parts is None:
-            return 0j
-        folded, ratio, angle = parts
-        mag = folded / self.modulus.m(k - 1) * ratio
-        return mag * cmath.exp(1j * math.pi * angle)
+    def _coeffs(self, ns: list[int]) -> np.ndarray:
+        """phase_sum(k, n) / m_{k-1} for every time (rows) and perturbed level k
+        (columns), computed as a ratio so it never overflows."""
+        mods, prev, sinc_unit = self._pert
+        r, m = mods.residues(ns)
+        folded = np.minimum(r, m - r)
+        shrink = np.minimum(1.0, _sinc_pi(mods.ratio(folded)) / sinc_unit)
+        coeff = prev.ratio(folded) * shrink * np.exp(1j * np.pi * mods.ratio(r - 1))
+        return np.where(r != 0, coeff, 0j)
 
     # -- action ---------------------------------------------------------------
 
@@ -382,20 +382,22 @@ class PerturbedRotation:
         if x.p != self.p:
             raise ConstructionError("norm kind mismatch")
 
-    def _tail_loss(self, xnorm: float, n: int = 1) -> float:
-        """Estimate of the perturbation the untruncated map would add past levels.
+    def loss(self, n: int, x: Vec) -> float:
+        """Estimate of the perturbation the untruncated T^n would add past levels.
 
         Coefficients there are bounded by min(n, m_k/2)/m_{k-1}, that is
         min(2n, m_k)/(2 m_{k-1}); six explicit terms plus a geometric remainder
         dominate the sum.
         """
+        if n == 0:
+            return 0.0
         total = 0.0
         last = 0.0
         for two_prev, m_k in self._tail:
             last = min(2 * n, m_k) / two_prev
             total += last
         total += last  # remainder, dominated by one extra term
-        return self._mu * xnorm * total
+        return self._mu * x.norm() * total
 
     def apply(self, x: Vec) -> Applied:
         self._check(x)
@@ -403,22 +405,17 @@ class PerturbedRotation:
         head = x.coords[: self.head]
         if len(self._inv_prev):
             y[self.head: self.levels] += (self._alpha @ head) * self._inv_prev
-        return Applied(Vec(y, x.p), self._tail_loss(x.norm(), 1))
+        return Applied(Vec(y, x.p), self.loss(1, x))
 
-    def power(self, n: int, x: Vec) -> Applied:
-        """T^n x in closed form; cost is independent of the size of n."""
+    def powers(self, ns: Iterable[int], x: Vec) -> np.ndarray:
+        """T^n x for a block of times in closed form; cost is independent of the size of n."""
         self._check(x)
-        if n < 0:
-            raise ConstructionError("exponent must be a natural number")
-        if n == 0:
-            return Applied(Vec(x.coords.copy(), x.p), 0.0)
-        y = self._rotation.power(n, x).vec.coords
-        head = x.coords[: self.head]
-        for idx, k in enumerate(range(self.head + 1, self.levels + 1)):
-            c = self._pert_coeff(k, n)
-            if c:
-                y[k - 1] += c * complex(self._alpha[idx] @ head)
-        return Applied(Vec(y, x.p), self._tail_loss(x.norm(), n))
+        ns = natural_times(ns, ConstructionError)
+        y = self._rotation.powers(ns, x)
+        # <w_k, P x> per level, each summed over the head in the same order
+        weights = (self._alpha * x.coords[: self.head]).sum(axis=1)
+        y[:, self.head: self.levels] += self._coeffs(ns) * weights
+        return y
 
     def head_basis_defect(self, n: int) -> float:
         """d(n) = max_i || T^n e_i - e_i || over the head basis, for n >= 1.
@@ -427,12 +424,14 @@ class PerturbedRotation:
         the perturbation column; everything is evaluated in closed form per
         level.
         """
-        coeffs = np.array([self._pert_coeff(k, n)
-                           for k in range(self.head + 1, self.levels + 1)], dtype=np.complex128)
-        per_entry = np.abs(coeffs[:, None] * self._alpha)  # rows: level, cols: basis index
+        return float(self._head_defects([n])[0])
+
+    def _head_defects(self, ns: list[int]) -> np.ndarray:
+        """head_basis_defect for each of a block of times, from one coefficient block."""
+        per_entry = np.abs(self._coeffs(ns)[:, :, None] * self._alpha)  # time, level, basis index
         if self.p == SUP:
-            return float(np.max(per_entry)) if per_entry.size else 0.0
-        return float(np.max(np.sum(per_entry ** self.p, axis=0) ** (1.0 / self.p)))
+            return per_entry.max(axis=(1, 2))
+        return np.max(np.sum(per_entry ** self.p, axis=1) ** (1.0 / self.p), axis=1)
 
     def center_defect_floor(self) -> float:
         """The proven lower bound 1/(K*pi) on max head-basis displacement."""
@@ -574,21 +573,18 @@ def recurrence_witness(op: PerturbedRotation, vectors: Sequence[Vec],
         raise GridResolutionError(
             f"grid_tol {grid_tol:g} below finest available mesh {finest:g}")
     alpha = annihilating_functional(vectors, op.fold_n)
-    points: list[WitnessPoint] = []
-    any_within_tol = False
+    chosen = []
     for entry in op.grid.entries:
         d = float(np.max(np.abs(np.asarray(entry.alpha) - alpha)))
         if d <= max(grid_tol, entry.mesh):
-            if d <= grid_tol:
-                any_within_tol = True
-            t = op.modulus.m(entry.level - 1)
-            dists = tuple(distance(op.power(t, x).vec, x) for x in vectors)
-            points.append(WitnessPoint(entry.level, entry.mesh, d, t, dists))
-    if not any_within_tol:
+            chosen.append((entry, d, op.modulus.m(entry.level - 1)))
+    times = [t for _, _, t in chosen]
+    dists = list(zip(*(displacements(op, times, x) for x in vectors)))
+    if not any(d <= grid_tol for _, d, _ in chosen):
         raise GridResolutionError(
             f"no grid entry within {grid_tol:g} of the annihilator; "
             f"finest available mesh is {finest:g}")
-    return points
+    return [WitnessPoint(e.level, e.mesh, d, t, ds) for (e, d, t), ds in zip(chosen, dists)]
 
 
 @dataclass(frozen=True)
@@ -600,19 +596,16 @@ class ScanReport:
 
 def non_recurrence_scan(op: PerturbedRotation, candidates: Iterable[int]) -> ScanReport:
     """Minimize the head-basis defect `op.head_basis_defect(n)` over the candidates."""
+    times = [n for n in sorted(set(int(c) for c in candidates)) if n >= 1]
+    if not times:
+        raise ConstructionError("no candidates to scan")
     best = math.inf
     best_n = 0
-    count = 0
-    for n in sorted(set(int(c) for c in candidates)):
-        if n < 1:
-            continue
-        count += 1
-        d = op.head_basis_defect(n)
-        if d < best:
-            best, best_n = d, n
-    if count == 0:
-        raise ConstructionError("no candidates to scan")
-    return ScanReport(best, best_n, count)
+    for block in blocks(times):
+        for n, d in zip(block, op._head_defects(block).tolist()):
+            if d < best:
+                best, best_n = d, n
+    return ScanReport(best, best_n, len(times))
 
 
 def lattice_candidates(modulus: ModulusLadder, max_level: int,

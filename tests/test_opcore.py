@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import recurlab as rl
-from recurlab.opcore import SUP, _block_of, unit_phase
+from recurlab.opcore import SUP, _block_of, int_powers, unit_phase
 
 
 def iterate(op, n, x):
@@ -81,6 +81,29 @@ class TestUnitPhase:
     def test_whole_turns_are_exactly_one(self):
         assert unit_phase(0, 7) == 1 + 0j
         assert unit_phase(-3 * 10 ** 40, 10 ** 40) == 1 + 0j
+
+
+class TestIntPowers:
+    @given(finite_complex, st.integers(0, 100))
+    def test_bit_identical_to_complex_pow_up_to_100(self, v, n):
+        assert int_powers(v, [n])[0] == v ** n
+
+    @pytest.mark.parametrize("n", [101, 10 ** 40, 10 ** 40 + 1, 2 ** 63 + 3])
+    def test_units_keep_their_phase_at_large_n(self, n):
+        units = [1 + 0j, -1 + 0j, 1j, -1j]
+        op = rl.Diagonal(tuple(units), 2.0)
+        got = op.power(n, rl.vec_of([1, 1, 1, 1])).vec.coords.tolist()
+        assert got == [u ** (n % 4) for u in units]
+        assert int_powers(1j, [n, 0, 101]).tolist() == [1j ** (n % 4), 1, 1j]
+
+    def test_shift_weight_keeps_its_phase(self):
+        op = rl.WeightedBackwardShift(1j, 120, 2.0)
+        assert op.power(101, rl.basis_vec(120, 120)).vec.coords[18] == 1j
+
+    def test_overflow_is_loud(self):
+        with pytest.raises(OverflowError):
+            int_powers(2.0, [2000])
+        assert int_powers(0.5, [2000])[0] == 0
 
 
 class TestDiagonal:
