@@ -16,7 +16,7 @@ protocol:
   `loss(n, x)` beside it, where `loss` upper-bounds whatever mass the
   truncation discarded (exactly zero for maps that never push coordinates
   past dim_cap);
-- `apply(x)`: one step, also an `Applied` pair;
+- `apply(x)`: one step, `power(1, x)`;
 - `descriptor()`: the JSON-ready identity of the build;
 - `norm_bound()`: a conservative upper bound on the operator norm.
 
@@ -25,7 +25,9 @@ depends on the magnitude of the exponent for rotations and permutations.
 Exact phases reduce (n * num) mod den exactly (`Moduli.residues`: int64
 where it cannot overflow, Python ints otherwise) before one division;
 plain complex entries are raised by binary exponentiation (`int_powers`).
-`PerturbedRotation` takes R^n from the `Diagonal` of its `rotation_part()`.
+`PerturbedRotation` reduces n mod m_k once per block and builds both R^n
+(`Moduli.turns`, as its `rotation_part()` does) and its perturbation
+coefficients from those residues.
 """
 
 from __future__ import annotations
@@ -52,12 +54,6 @@ def norm_kind(p: float) -> Union[str, float]:
     return "sup" if p == SUP else p
 
 
-def unit_phase(num: int, den: int) -> complex:
-    """exp(2*pi*i*num/den), den > 0: num is reduced mod den exactly and then
-    divided once, correctly rounded, so the angle is float(Fraction(num, den) % 1)."""
-    return cmath.exp(2j * math.pi * ((num % den) / den))
-
-
 class OpcoreError(ValueError):
     pass
 
@@ -75,15 +71,33 @@ def natural_times(ns: Iterable[int], error: type) -> list[int]:
     return times
 
 
+class Denominators:
+    """Integers den_j > 0 to divide column j of an integer array by.
+
+    `ratio` is int/int true division, correctly rounded, for Python ints; for
+    int64, division by den_j rounded to a float (cut by a power of two first
+    when it is past float range), which lands within two ulps of that.
+    """
+
+    def __init__(self, dens: Sequence[int]) -> None:
+        self.objects = np.array(dens, dtype=object)
+        shift = [max(0, d.bit_length() - 1000) for d in dens]
+        self._floats = np.array([float(d >> s) for d, s in zip(dens, shift)])
+        self._shift = -np.array(shift, dtype=np.int64) if any(shift) else None
+
+    def ratio(self, a: np.ndarray) -> np.ndarray:
+        """a[:, j] / den_j as float64."""
+        if a.dtype == object:
+            return (a / self.objects).astype(np.float64)
+        q = a / self._floats
+        return q if self._shift is None else np.ldexp(q, self._shift)
+
+
 class Moduli:
     """Exact phases num_j/den_j (den_j > 0), prepared once for blocks of times.
 
     `residues` reduces n * num_j mod den_j exactly: in int64 while every
     product stays below 2^62 in magnitude, in Python ints otherwise.
-    `ratio` divides column j of such an array by den_j: int/int true
-    division, correctly rounded, for Python ints; for int64, division by
-    den_j rounded to a float (cut by a power of two first when it is past
-    float range), which lands within two ulps of that.
     """
 
     def __init__(self, nums: Sequence[int], dens: Sequence[int]) -> None:
@@ -94,25 +108,20 @@ class Moduli:
         if self._reach < _I64_SAFE and all(v >= 0 or d <= _I64_MAX for v, d in zip(nums, dens)):
             self._int64 = (np.array(nums, dtype=np.int64),
                            np.array([min(d, _I64_MAX) for d in dens], dtype=np.int64))
-        self._objects = (np.array(nums, dtype=object), np.array(dens, dtype=object))
-        shift = [max(0, d.bit_length() - 1000) for d in dens]
-        self._floats = np.array([float(d >> s) for d, s in zip(dens, shift)])
-        self._shift = -np.array(shift, dtype=np.int64) if any(shift) else None
+        self._nums = np.array(nums, dtype=object)
+        self.dens = Denominators(dens)
 
     def residues(self, ns: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """(r, d): r[t, j] = (ns[t] * num_j) mod den_j, d the moduli in r's dtype."""
         if self._int64 is not None and max(ns, default=0) * self._reach < _I64_SAFE:
             nums, dens = self._int64
             return np.array(ns, dtype=np.int64)[:, None] * nums % dens, dens
-        nums, dens = self._objects
-        return np.array(ns, dtype=object)[:, None] * nums % dens, dens
+        dens = self.dens.objects
+        return np.array(ns, dtype=object)[:, None] * self._nums % dens, dens
 
-    def ratio(self, a: np.ndarray) -> np.ndarray:
-        """a[:, j] / den_j as float64, for a as `residues` returns it."""
-        if a.dtype == object:
-            return (a / self._objects[1]).astype(np.float64)
-        q = a / self._floats
-        return q if self._shift is None else np.ldexp(q, self._shift)
+    def turns(self, r: np.ndarray) -> np.ndarray:
+        """exp(2*pi*i * r[:, j] / den_j): the unit phases of residues as `residues` returns them."""
+        return np.exp(2j * np.pi * self.dens.ratio(r))
 
 
 def int_powers(v: complex, ns: Sequence[int]) -> np.ndarray:
@@ -230,9 +239,11 @@ def row_norms(rows: np.ndarray, p: float) -> np.ndarray:
     return np.linalg.norm(rows, ord=p, axis=1)
 
 
-# times per kernel call: scratch memory stays at CHUNK x dim_cap coordinates
-# whatever the horizon
-CHUNK = 256
+# times per kernel call: scratch memory stays at a few CHUNK x dim_cap arrays
+# whatever the horizon.  Larger blocks save little per time on dense sweeps
+# but raise the peak memory of multi-sample probes, and one time past 2^62
+# sends the whole block down the Python-int path.
+CHUNK = 64
 
 
 def blocks(ns: Iterable[int]) -> Iterator[list[int]]:
@@ -257,10 +268,14 @@ class Applied(NamedTuple):
 
 
 class Operator:
-    """`power(n, x)` as the one-row case of the operator's `powers(ns, x)`."""
+    """`power(n, x)` as the one-row case of the operator's `powers(ns, x)`, and
+    `apply(x)` as `power(1, x)`."""
 
     def power(self, n: int, x: Vec) -> Applied:
         return Applied(Vec(self.powers([n], x)[0], x.p), self.loss(n, x))
+
+    def apply(self, x: Vec) -> Applied:
+        return self.power(1, x)
 
     def loss(self, n: int, x: Vec) -> float:
         """Upper bound on the mass of T^n x the truncation discards: none by default."""
@@ -285,8 +300,6 @@ class Diagonal(Operator):
     p: float = 2.0
 
     def __post_init__(self) -> None:
-        values = np.array([unit_phase(e.numerator, e.denominator) if isinstance(e, Fraction)
-                           else complex(e) for e in self.entries], dtype=np.complex128)
         # what powers move: exact phases other than whole turns, as (indices,
         # numerators, denominators), and plain values
         turns = [(i, e.numerator, e.denominator) for i, e in enumerate(self.entries)
@@ -294,7 +307,6 @@ class Diagonal(Operator):
         plain = [(i, complex(e)) for i, e in enumerate(self.entries)
                  if not isinstance(e, Fraction)]
         idx, nums, dens = tuple(map(list, zip(*turns))) or ([], [], [])
-        object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_turns", (np.array(idx, dtype=np.intp), Moduli(nums, dens)))
         object.__setattr__(self, "_plain", plain)
 
@@ -302,17 +314,13 @@ class Diagonal(Operator):
     def dim_cap(self) -> int:
         return len(self.entries)
 
-    def apply(self, x: Vec) -> Applied:
-        _check_dim(self, x)
-        return Applied(Vec(x.coords * self._values, x.p), 0.0)
-
     def powers(self, ns: Iterable[int], x: Vec) -> np.ndarray:
         _check_dim(self, x)
         ns = natural_times(ns, OpcoreError)
         mults = np.ones((len(ns), self.dim_cap), dtype=np.complex128)
         idx, turns = self._turns
         if len(idx):
-            mults[:, idx] = np.exp(2j * np.pi * turns.ratio(turns.residues(ns)[0]))
+            mults[:, idx] = turns.turns(turns.residues(ns)[0])
         for i, v in self._plain:
             mults[:, i] = int_powers(v, ns)
         return x.coords * mults
@@ -350,20 +358,14 @@ class WeightedBackwardShift(Operator):
     dim_cap: int
     p: float = 2.0
 
-    def apply(self, x: Vec) -> Applied:
-        _check_dim(self, x)
-        y = np.zeros(self.dim_cap, dtype=np.complex128)
-        y[:-1] = self.weight * x.coords[1:]
-        return Applied(Vec(y, x.p), 0.0)
-
     def powers(self, ns: Iterable[int], x: Vec) -> np.ndarray:
         """Row n is weight^n times the window x_{n+1}, x_{n+2}, ..., zero past the cap."""
         _check_dim(self, x)
         d = self.dim_cap
-        steps = [min(n, d) for n in natural_times(ns, OpcoreError)]
-        window = np.append(x.coords, 0)[np.minimum(np.array(steps)[:, None] + np.arange(d), d)]
+        steps = np.array([min(n, d) for n in natural_times(ns, OpcoreError)], dtype=np.int64)
+        window = np.append(x.coords, 0)[np.minimum(steps[:, None] + np.arange(d), d)]
         # no weight power where nothing is left
-        return int_powers(self.weight, [s if s < d else 0 for s in steps])[:, None] * window
+        return int_powers(self.weight, np.where(steps < d, steps, 0).tolist())[:, None] * window
 
     def descriptor(self) -> dict:
         w = complex(self.weight)
@@ -403,9 +405,6 @@ class BlockPermutationIsometry(Operator):
         object.__setattr__(self, "_cut", cut)
         # every whole cycle length divides the longest one
         object.__setattr__(self, "_period", int(self._size[~cut].max(initial=1)))
-
-    def apply(self, x: Vec) -> Applied:
-        return self.power(1, x)
 
     def powers(self, ns: Iterable[int], x: Vec) -> np.ndarray:
         """Row n gathers each coordinate from n slots back in its block."""

@@ -19,7 +19,7 @@ plain Python integers of arbitrary size, power phases reduce n mod m_k
 exactly before any float enters (int64 where it cannot overflow, Python ints
 otherwise), and each ratio of integers is one division: int/int, correctly
 rounded, at ladder scale.  `powers` evaluates a block of times at every
-level at once, R^n comes from the cached `rotation_part()`, and geometric
+level at once from one reduction of n mod m_k per block, and geometric
 phase sums use the folded-sine form min(r, m-r) * sinc(pi*rho)/sinc(pi/m),
 which is immune to underflow for astronomically large moduli and never
 exceeds the integer envelope.
@@ -35,8 +35,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .opcore import (SUP, Applied, Diagonal, Moduli, Operator, Vec, blocks, diagonal_rotation,
-                     displacements, distance, natural_times, norm_kind)
+from .opcore import (SUP, Denominators, Diagonal, Moduli, Operator, Vec, blocks,
+                     diagonal_rotation, displacements, distance, natural_times, norm_kind)
 
 TWO_PI = 2.0 * math.pi
 
@@ -290,17 +290,14 @@ class PerturbedRotation(Operator):
         m = self.modulus.m
         object.__setattr__(self, "_rotation", diagonal_rotation(
             [Fraction(1, m(k)) for k in range(1, levels + 1)], self.dim_cap, self.p))
-        alpha = np.array([e.alpha for e in self.grid.entries], dtype=np.complex128)
-        inv_prev = np.array([1 / m(k - 1) for k in range(self.head + 1, levels + 1)],
-                            dtype=np.float64)
-        object.__setattr__(self, "_alpha", alpha)
-        object.__setattr__(self, "_inv_prev", inv_prev)
-        # m_k, m_{k-1} and sinc(pi/m_k) of the perturbed levels k = head+1..levels
+        object.__setattr__(self, "_alpha", np.array([e.alpha for e in self.grid.entries],
+                                                    dtype=np.complex128))
+        # the phases 1/m_k of the perturbed levels k = head+1..levels (the head
+        # has m_k = 1), m_{k-1} and sinc(pi/m_k) beside them
         pert = self.modulus.values[self.head:]
-        ones = [1] * len(pert)
-        object.__setattr__(self, "_pert", (Moduli(ones, pert),
-                                           Moduli(ones, self.modulus.values[self.head - 1:-1]),
-                                           _sinc_pi([1 / v for v in pert])))
+        object.__setattr__(self, "_phases", Moduli([1] * len(pert), pert))
+        object.__setattr__(self, "_prev", Denominators(self.modulus.values[self.head - 1:-1]))
+        object.__setattr__(self, "_sinc_unit", _sinc_pi([1 / v for v in pert]))
         # (2 m_{k-1}, m_k) for the six levels past the truncation, for loss
         ext = [self.modulus.extended_m(k) for k in range(levels, levels + 7)]
         object.__setattr__(self, "_tail", tuple(zip([2 * v for v in ext], ext[1:])))
@@ -354,25 +351,29 @@ class PerturbedRotation(Operator):
             raise ConstructionError(f"level {k} outside {self.head + 1}..{self.levels}")
         if n < 1:
             raise ConstructionError("n must be >= 1")
-        m = self.modulus.m(k)
-        r = n % m
-        if r == 0:
+        r, m = self._phases.residues([n])
+        folded, shrink, phase = self._sum_parts(r, m)
+        j = k - self.head - 1
+        if r[0, j] == 0:
             return 0j
-        folded = min(r, m - r)
-        if folded > 1e306:
+        if folded[0, j] > 1e306:
             raise OverflowError("phase sum magnitude exceeds float range")
-        shrink = min(1.0, float(_sinc_pi(folded / m) / _sinc_pi(1 / m)))
-        return float(folded) * shrink * cmath.exp(1j * math.pi * ((r - 1) / m))
+        return complex(float(folded[0, j]) * shrink[0, j] * phase[0, j])
 
-    def _coeffs(self, ns: list[int]) -> np.ndarray:
+    def _sum_parts(self, r: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(folded residue, sinc ratio, unit phase) of the phase sums at every
+        perturbed level, from the residues r = n mod m_k that `Moduli.residues`
+        gives for a block of times."""
+        folded = np.minimum(r, m - r)
+        ratio = self._phases.dens.ratio
+        shrink = np.minimum(1.0, _sinc_pi(ratio(folded)) / self._sinc_unit)
+        return folded, shrink, np.exp(1j * np.pi * ratio(r - 1))
+
+    def _coeffs(self, r: np.ndarray, m: np.ndarray) -> np.ndarray:
         """phase_sum(k, n) / m_{k-1} for every time (rows) and perturbed level k
         (columns), computed as a ratio so it never overflows."""
-        mods, prev, sinc_unit = self._pert
-        r, m = mods.residues(ns)
-        folded = np.minimum(r, m - r)
-        shrink = np.minimum(1.0, _sinc_pi(mods.ratio(folded)) / sinc_unit)
-        coeff = prev.ratio(folded) * shrink * np.exp(1j * np.pi * mods.ratio(r - 1))
-        return np.where(r != 0, coeff, 0j)
+        folded, shrink, phase = self._sum_parts(r, m)
+        return np.where(r != 0, self._prev.ratio(folded) * shrink * phase, 0j)
 
     # -- action ---------------------------------------------------------------
 
@@ -399,22 +400,17 @@ class PerturbedRotation(Operator):
         total += last  # remainder, dominated by one extra term
         return self._mu * x.norm() * total
 
-    def apply(self, x: Vec) -> Applied:
-        self._check(x)
-        y = self._rotation.apply(x).vec.coords
-        head = x.coords[: self.head]
-        if len(self._inv_prev):
-            y[self.head: self.levels] += (self._alpha @ head) * self._inv_prev
-        return Applied(Vec(y, x.p), self.loss(1, x))
-
     def powers(self, ns: Iterable[int], x: Vec) -> np.ndarray:
         """T^n x for a block of times in closed form; cost is independent of the size of n."""
         self._check(x)
         ns = natural_times(ns, ConstructionError)
-        y = self._rotation.powers(ns, x)
+        r, m = self._phases.residues(ns)
+        y = np.tile(x.coords, (len(ns), 1))
+        levels = slice(self.head, self.levels)
+        y[:, levels] *= self._phases.turns(r)  # R^n
         # <w_k, P x> per level, each summed over the head in the same order
         weights = (self._alpha * x.coords[: self.head]).sum(axis=1)
-        y[:, self.head: self.levels] += self._coeffs(ns) * weights
+        y[:, levels] += self._coeffs(r, m) * weights
         return y
 
     def head_basis_defect(self, n: int) -> float:
@@ -428,7 +424,8 @@ class PerturbedRotation(Operator):
 
     def _head_defects(self, ns: list[int]) -> np.ndarray:
         """head_basis_defect for each of a block of times, from one coefficient block."""
-        per_entry = np.abs(self._coeffs(ns)[:, :, None] * self._alpha)  # time, level, basis index
+        coeffs = self._coeffs(*self._phases.residues(ns))
+        per_entry = np.abs(coeffs[:, :, None] * self._alpha)  # time, level, basis index
         if self.p == SUP:
             return per_entry.max(axis=(1, 2))
         return np.max(np.sum(per_entry ** self.p, axis=1) ** (1.0 / self.p), axis=1)

@@ -187,8 +187,8 @@ def assert_row_close(got, want, scale):
 def test_powers_rows_match_scalar_oracle(kind, pk, data):
     op = OPS[kind, pk]
     pool = time_pool(op)
-    ns = data.draw(st.lists(st.sampled_from(pool) | st.integers(0, 3000), min_size=1,
-                            max_size=10), label="ns")
+    ns = data.draw(st.lists(st.sampled_from(pool) | st.integers(0, 3000), max_size=10),
+                   label="ns")
     x = vector(op, data.draw(st.integers(0, 2 ** 16), label="seed"))
     rows = op.powers(ns, x)
     assert rows.shape == (len(ns), op.dim_cap)
@@ -199,6 +199,14 @@ def test_powers_rows_match_scalar_oracle(kind, pk, data):
         applied = op.power(n, x)
         assert_row_close(applied.vec.coords, want, scale)
         assert applied.loss == loss
+
+
+@pytest.mark.parametrize("pk", P_KINDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_empty_block_gives_no_rows(kind, pk):
+    op = OPS[kind, pk]
+    rows = op.powers([], vector(op, 3))
+    assert rows.shape == (0, op.dim_cap) and rows.dtype == np.complex128
 
 
 @pytest.mark.parametrize("pk", P_KINDS)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import recurlab as rl
-from recurlab.opcore import SUP, _block_of, int_powers, unit_phase
+from recurlab.opcore import SUP, Moduli, _block_of, int_powers
 
 
 def iterate(op, n, x):
@@ -72,15 +72,27 @@ class TestVec:
         assert rl.vec_of([1], p=2.0).to_json_dict()["normKind"] == 2.0
 
 
+def unit_phase(num, den, n=1):
+    mods = Moduli([num], [den])
+    return complex(mods.turns(mods.residues([n])[0])[0, 0])
+
+
 class TestUnitPhase:
-    @given(st.integers(-10 ** 150, 10 ** 150), st.integers(1, 10 ** 150))
-    def test_matches_exact_fraction_reduction(self, num, den):
-        want = cmath.exp(2j * math.pi * float(Fraction(num, den) % 1))
-        assert unit_phase(num, den) == want
+    @given(st.integers(-10 ** 150, 10 ** 150), st.integers(1, 10 ** 150),
+           st.integers(0, 10 ** 20))
+    def test_matches_exact_fraction_reduction(self, num, den, n):
+        # int/int true division of the residue, or within two ulps of it in int64
+        want = cmath.exp(2j * math.pi * float(Fraction(n * num, den) % 1))
+        assert abs(unit_phase(num, den, n) - want) <= 1e-15
+
+    def test_python_int_residues_give_the_exact_angle(self):
+        num, den = 3 * 10 ** 40 + 1, 7 * 10 ** 40 + 3
+        assert unit_phase(num, den) == cmath.exp(2j * math.pi * float(Fraction(num, den) % 1))
 
     def test_whole_turns_are_exactly_one(self):
         assert unit_phase(0, 7) == 1 + 0j
         assert unit_phase(-3 * 10 ** 40, 10 ** 40) == 1 + 0j
+        assert unit_phase(5, 7, 7 * 10 ** 30) == 1 + 0j
 
 
 class TestIntPowers:
