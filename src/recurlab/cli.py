@@ -314,16 +314,10 @@ def cmd_families(cfg: Cfg, args, sink: Sink) -> int:
     sink.json("family-report.json", report.make_record("family", cfg.data, payload))
     sink.csv("family-elements.csv", ["element"], [[e] for e in a.elements])
     if sink.want("svg"):
-        xs, ys = [], []
-        count = 0
-        idx = 0
-        for n in range(1, horizon + 1):
-            while idx < len(a.elements) and a.elements[idx] <= n:
-                if a.elements[idx] >= 1:
-                    count += 1
-                idx += 1
-            xs.append(float(n))
-            ys.append(count / n)
+        # only the points the plot keeps, so the cost does not grow with the horizon
+        ns = range(1, horizon + 1, report.plot_stride(horizon))
+        xs = [float(n) for n in ns]
+        ys = [a.count_in(1, n) / n for n in ns]
         sink.svg("family-density.svg", report.line_plot_svg(
             "Prefix density", "N", "count([1,N]) / N", [("density", xs, ys)]))
     print(f"family horizon={horizon} size={len(a)} "

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -235,8 +236,9 @@ def classify_period_by_density(a: NatSet, window: int, delta: float) -> PeriodCl
     if dense:
         start = window_pair_witness(a, bound + 1)
         if start is not None:
-            inside = [e for e in a.elements if start < e <= start + bound + 1]
-            lo, hi = inside[0], inside[1]
+            # the first two elements of the window (start, start + bound + 1]
+            i = bisect_right(a.elements, start)
+            lo, hi = a.elements[i], a.elements[i + 1]
             witness = (lo, hi)
             period = hi - lo
     return PeriodClassification(delta, bound, dense, period, witness,

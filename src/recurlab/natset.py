@@ -13,6 +13,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, groupby
+from operator import sub
 from typing import Optional, Sequence
 
 
@@ -144,8 +146,8 @@ class IpClosure:
     """All sums over nonempty sub-collections of the generator list.
 
     Each generator may appear in a sum at most once.  Materialization is a
-    subset-sum sweep bounded by the horizon, so cost is O(len(gens) * horizon)
-    regardless of how explosive the unpruned subset lattice would be.
+    subset-sum sweep that drops sums past the horizon, so its cost is
+    O(len(gens) * size) for a result of size <= min(2**len(gens), horizon).
     """
 
     generators: tuple[int, ...]
@@ -275,11 +277,13 @@ class IntersectionOf:
 class DensityReport:
     """Exact finite-horizon density and structure statistics for one set.
 
-    Window statistics scan every length-`window` interval [n+1, n+window]
-    inside [1, horizon]; prefix statistics scan [1, N] for N from `window` to
-    `horizon`.  All four are exact Fractions.  The syndetic gap, when present,
-    implies lower_banach >= 1/(gap+1) - 1/window; the 1/window slack is the
-    price of measuring with a finite window.
+    Window statistics range over every length-`window` interval
+    [n+1, n+window] inside [1, horizon]; prefix statistics over [1, N] for N
+    from `window` to `horizon`.  All four are exact Fractions, found from the
+    elements alone (see `density_profile`), so the cost does not grow with the
+    horizon.  The syndetic gap, when present, implies
+    lower_banach >= 1/(gap+1) - 1/window; the 1/window slack is the price of
+    measuring with a finite window.
 
     The longest-progression statistic can cost O(len^2), so it is computed
     lazily on first access and cached.
@@ -356,6 +360,11 @@ def _longest_progression(elements: Sequence[int]) -> int:
 def density_profile(a: NatSet, window: int) -> DensityReport:
     """Exact density report for `a` at the given window size.
 
+    Counts are piecewise constant between elements, so each extremum sits at
+    a breakpoint next to an element or at an end of its range; one pass over
+    the elements per statistic, with monotone index pointers, finds all four
+    in O(len(a)) whatever the horizon.
+
     Raises NatSetError when window < 1 or window > horizon.
     """
     if window < 1:
@@ -365,59 +374,66 @@ def density_profile(a: NatSet, window: int) -> DensityReport:
 
     horizon = a.horizon
     els = a.elements
+    size = len(els)
+    last = horizon - window  # windows are [n+1, n+window] for n in [0, last]
+    count_last = size - bisect_right(els, last)
+    zero_adjust = 1 if els and els[0] == 0 else 0  # 0 is in no window or prefix
 
-    # prefix[i] = number of elements <= i, for i in [0, horizon]
-    prefix = [0] * (horizon + 2)
-    for e in els:
-        prefix[e + 1] += 1
-    for i in range(1, horizon + 2):
-        prefix[i] += prefix[i - 1]
+    # window max: sliding right, a count can only drop once the left end
+    # passes an element, so the max starts at an element e (n = e - 1) or at
+    # n = last.  The window [e, e+window-1] from els[k] holds j - k elements,
+    # j the number of elements <= e + window - 1.
+    best_hi = count_last
+    j = 0
+    for k, e in enumerate(els[zero_adjust:bisect_right(els, last + 1)], zero_adjust):
+        end = e + window - 1
+        while j < size and els[j] <= end:
+            j += 1
+        if j - k > best_hi:
+            best_hi = j - k
 
-    def count_leq(i: int) -> int:
-        return prefix[i + 1]
-
-    # window extrema: counts over [n+1, n+window] for n in [0, horizon-window]
-    best_hi, best_lo = -1, window + 1
-    for n in range(0, horizon - window + 1):
-        c = count_leq(n + window) - count_leq(n)
-        if c > best_hi:
-            best_hi = c
-        if c < best_lo:
-            best_lo = c
+    # window min: sliding right, a count can only rise once the right end
+    # reaches an element, so the min ends just before an element e
+    # (n = e - window - 1) or starts at n = last.  The window [e-window, e-1]
+    # below els[k] holds k - j elements, j the number of elements < e - window.
+    best_lo = count_last
+    j = 0
+    above = bisect_left(els, window + 1)
+    for k, e in enumerate(els[above:], above):
+        start = e - window
+        while els[j] < start:
+            j += 1
+        if k - j < best_lo:
+            best_lo = k - j
     upper_banach = Fraction(best_hi, window)
     lower_banach = Fraction(best_lo, window)
 
-    # prefix extrema over [1, N]: compare c/N by cross multiplication to stay
-    # exact without building a Fraction per candidate
-    zero_adjust = 1 if (els and els[0] == 0) else 0
-    hi_c, hi_n = -1, 1
-    lo_c, lo_n = 1, 0  # sentinel: 1/0 = +infinity
-    for n in range(window, horizon + 1):
-        c = count_leq(n) - zero_adjust
+    # prefix extrema of count([1, N]) / N over N in [window, horizon]: the
+    # ratio falls while N grows between elements, so the max sits at N = window
+    # or N = e, and the min at N = e - 1 or N = horizon.  Compare c/N by cross
+    # multiplication to stay exact without building a Fraction per candidate.
+    first = bisect_right(els, window)
+    hi_c, hi_n = first - zero_adjust, window
+    for c, n in zip(count(first + 1 - zero_adjust), els[first:]):
         if c * hi_n > hi_c * n:
             hi_c, hi_n = c, n
-        if lo_n == 0 or c * lo_n < lo_c * n:
-            lo_c, lo_n = c, n
+    lo_c, lo_n = size - zero_adjust, horizon
+    for c, e in zip(count(above - zero_adjust), els[above:]):
+        if c * lo_n < lo_c * (e - 1):
+            lo_c, lo_n = c, e - 1
     upper_density = Fraction(hi_c, hi_n)
     lower_density = Fraction(lo_c, lo_n)
 
     # syndetic gap: least g such that every interval of g+1 consecutive
-    # integers inside [0, horizon] meets the set
-    if els:
-        gap = max(els[0], horizon - els[-1])
-        for i in range(1, len(els)):
-            gap = max(gap, els[i] - els[i - 1] - 1)
-        syndetic_gap: Optional[int] = gap
-    else:
-        syndetic_gap = None
-
+    # integers inside [0, horizon] meets the set; max_run: longest stretch of
+    # consecutive integers, i.e. one more than the longest run of steps of 1
+    steps = list(map(sub, els[1:], els))
+    syndetic_gap: Optional[int] = None
     max_run = 0
-    run = 0
-    prev = None
-    for e in els:
-        run = run + 1 if prev is not None and e == prev + 1 else 1
-        max_run = max(max_run, run)
-        prev = e
+    if els:
+        syndetic_gap = max(els[0], horizon - els[-1], max(steps, default=1) - 1)
+        max_run = 1 + max((len(list(run)) for step, run in groupby(steps) if step == 1),
+                          default=0)
 
     return DensityReport(a, window, upper_banach, lower_banach,
                          upper_density, lower_density, syndetic_gap, max_run)
@@ -431,16 +447,21 @@ def find_ap(a: NatSet, length: int) -> Optional[tuple[int, int]]:
     """Search for an arithmetic progression of `length` terms inside `a`.
 
     Returns the lexicographically least witness (start, diff) or None.
-    Exhaustive over starts in the set and diffs that fit under the horizon.
+    Exhaustive over starts in the set and diffs d = b - start to the later
+    elements b, in increasing order, while the last term fits under the
+    largest element.
     """
     if length < 2:
         raise NatSetError("progression length must be >= 2")
-    members = set(a.elements)
+    els = a.elements
+    members = set(els)
     span = length - 1
-    for start in a.elements:
-        max_d = (a.horizon - start) // span if span else 0
-        for d in range(1, max_d + 1):
-            if all(start + k * d in members for k in range(1, length)):
+    for i, start in enumerate(els):
+        for j in range(i + 1, len(els)):
+            d = els[j] - start
+            if start + span * d > els[-1]:
+                break
+            if all(start + k * d in members for k in range(2, length)):
                 return (start, d)
     return None
 
@@ -452,15 +473,13 @@ def window_pair_witness(a: NatSet, n: int) -> Optional[int]:
     els = a.elements
     # a window holding two elements holds two adjacent ones, so scanning
     # adjacent pairs (lo, hi) suffices; the admissible starts for a pair are
-    # s in [hi - n, lo - 1] intersected with [0, horizon - n]
-    best: Optional[int] = None
-    for i in range(len(els) - 1):
-        lo, hi = els[i], els[i + 1]
+    # s in [hi - n, lo - 1] intersected with [0, horizon - n].  The least one,
+    # max(0, hi - n), never falls as hi grows, so the first admissible pair wins.
+    for lo, hi in zip(els, els[1:]):
         s_min = max(0, hi - n)
-        s_max = min(lo - 1, a.horizon - n)
-        if s_min <= s_max and (best is None or s_min < best):
-            best = s_min
-    return best
+        if s_min <= min(lo - 1, a.horizon - n):
+            return s_min
+    return None
 
 
 @dataclass(frozen=True)

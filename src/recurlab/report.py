@@ -26,6 +26,13 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _WIDTH, _HEIGHT, _MAX_POINTS = 720, 440, 1500
 
 
+def plot_stride(count: int) -> int:
+    """The stride that thins a series of `count` points for `line_plot_svg`;
+    callers that compute their series can compute only every stride-th point
+    and get the same plot."""
+    return max(1, -(-count // _MAX_POINTS))
+
+
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
@@ -106,9 +113,7 @@ def line_plot_svg(title: str, xlabel: str, ylabel: str,
                if math.isfinite(x) and math.isfinite(y)]
         if log_y:
             pts = [(x, y) for x, y in pts if y > 0]
-        if len(pts) > _MAX_POINTS:
-            stride = -(-len(pts) // _MAX_POINTS)
-            pts = pts[::stride]
+        pts = pts[::plot_stride(len(pts))]
         if pts:
             cleaned.append((name, [p[0] for p in pts],
                             [math.log10(p[1]) if log_y else p[1] for p in pts]))

@@ -1,10 +1,11 @@
 import copy
 import json
 import os
+import time
 
 import pytest
 
-from recurlab import cli
+from recurlab import cli, report
 from test_acceptance import CLI_RUNS
 
 OP = {"foldN": 2, "dimCap": 64}
@@ -254,6 +255,79 @@ class TestFamiliesCommand:
         assert code == 0
         rec = read_json(out_dir, "family-report.json")
         assert rec["payload"]["set"]["elements"] == [0, 12, 24, 36, 48, 60]
+
+
+def scan_prefix_plot(a):
+    """Oracle: the prefix-density plot from every N in [1, horizon], thinned by
+    `line_plot_svg` itself."""
+    xs, ys = [], []
+    count = idx = 0
+    for n in range(1, a.horizon + 1):
+        while idx < len(a.elements) and a.elements[idx] <= n:
+            if a.elements[idx] >= 1:
+                count += 1
+            idx += 1
+        xs.append(float(n))
+        ys.append(count / n)
+    return report.line_plot_svg("Prefix density", "N", "count([1,N]) / N",
+                                [("density", xs, ys)])
+
+
+class TestFamiliesPlot:
+    @pytest.mark.parametrize("horizon, family", [
+        (1000, {"kind": "union", "parts": [{"kind": "multiples", "p": 6},
+                                           {"kind": "explicit", "members": [0, 1, 2, 997]}]}),
+        # the last horizon drawn in full
+        (1500, {"kind": "ip", "generators": [2, 9, 40, 333]}),
+        (10007, {"kind": "progression", "start": 3, "diff": 13}),
+        (10 ** 6, {"kind": "rotation-return", "modulus": 25013, "eps": 0.0005}),
+    ])
+    def test_sampled_plot_matches_full_scan(self, tmp_path, capsys, horizon, family):
+        out_dir = str(tmp_path / "o")
+        cfg = write_cfg(tmp_path, "f.json", {"horizon": horizon, "family": family})
+        code, _, _ = run(["families", "--config", cfg, "--out-dir", out_dir,
+                          "--format", "svg"], capsys)
+        assert code == 0
+        a = cli.family_set(cli.Cfg(family), horizon)
+        with open(os.path.join(out_dir, "family-density.svg"), encoding="utf-8") as f:
+            assert f.read() == scan_prefix_plot(a)
+
+
+class TestHugeHorizon:
+    """Set commands cost O(|A|): a 3-member family under a horizon of 10^12."""
+
+    FAMILY = {"kind": "explicit", "members": [5, 6, 10 ** 12 - 1]}
+
+    @pytest.mark.parametrize("command, formats", [
+        ("families", ["json", "csv", "svg"]), ("period", ["json"])])
+    def test_three_members_at_horizon_1e12(self, tmp_path, capsys, command, formats):
+        out_dir = str(tmp_path / "o")
+        cfg = {"horizon": 10 ** 12, "family": self.FAMILY}
+        if command == "period":
+            cfg.update(window=2, delta=0.5)
+        argv = [command, "--config", write_cfg(tmp_path, "h.json", cfg),
+                "--out-dir", out_dir]
+        for fmt in formats:
+            argv += ["--format", fmt]
+        t0 = time.perf_counter()
+        code, out, _ = run(argv, capsys)
+        dt = time.perf_counter() - t0
+        assert code == 0
+        assert dt < 2.0
+        assert sorted(os.listdir(out_dir)) == sorted(
+            {"families": ["family-report.json", "family-elements.csv",
+                          "family-density.svg"],
+             "period": ["period.json"]}[command])
+        if command == "families":
+            dens = read_json(out_dir, "family-report.json")["payload"]["density"]
+            assert dens["window"] == 10 ** 11
+            # 5 and 6 share a window
+            assert dens["upperBanach"] == {"num": 1, "den": 5 * 10 ** 10}
+            assert dens["lowerBanach"] == {"num": 0, "den": 1}
+        else:
+            assert "dense=True bound=2 period=1" in out
+            cls = read_json(out_dir, "period.json")["payload"]["classification"]
+            assert cls["witness"] == [5, 6]
 
 
 class TestConstructCommand:

@@ -184,6 +184,19 @@ class TestPeriodClassification:
         assert set(d) == {"delta", "bound", "dense", "period", "witness",
                           "fixedPoint"}
 
+    @given(st.sets(st.integers(0, 80), max_size=30), st.integers(1, 80),
+           st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0]))
+    def test_witness_is_first_pair_in_window(self, els, window, delta):
+        a = NatSet(tuple(sorted(els)), 80)
+        c = rl.classify_period_by_density(a, window, delta)
+        start = rl.window_pair_witness(a, c.bound + 1)
+        if not c.dense or start is None:
+            assert c.witness is None and c.period is None
+            return
+        inside = [e for e in a.elements if start < e <= start + c.bound + 1]
+        assert c.witness == (inside[0], inside[1])
+        assert c.period == inside[1] - inside[0]
+
     def test_delta_range_checked(self):
         a = Multiples(2).materialize(100)
         for bad in (0.0, -0.1, 1.0000001):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,66 @@ def brute_density(elements, horizon, window):
     prefix = [Fraction(sum(1 for j in range(1, n + 1) if j in inside), n)
               for n in range(window, horizon + 1)]
     return upper_b, lower_b, max(prefix), min(prefix)
+
+
+def horizon_scan_profile(a, window):
+    """Oracle: the O(horizon) scan that `density_profile` replaced.  Builds a
+    prefix-count list over [0, horizon] and visits every window and prefix;
+    returns the four densities, the syndetic gap and the longest run."""
+    horizon = a.horizon
+    els = a.elements
+
+    # prefix[i] = number of elements <= i, for i in [0, horizon]
+    prefix = [0] * (horizon + 2)
+    for e in els:
+        prefix[e + 1] += 1
+    for i in range(1, horizon + 2):
+        prefix[i] += prefix[i - 1]
+
+    def count_leq(i):
+        return prefix[i + 1]
+
+    # window extrema: counts over [n+1, n+window] for n in [0, horizon-window]
+    best_hi, best_lo = -1, window + 1
+    for n in range(0, horizon - window + 1):
+        c = count_leq(n + window) - count_leq(n)
+        if c > best_hi:
+            best_hi = c
+        if c < best_lo:
+            best_lo = c
+
+    # prefix extrema over [1, N], compared exactly by cross multiplication
+    zero_adjust = 1 if (els and els[0] == 0) else 0
+    hi_c, hi_n = -1, 1
+    lo_c, lo_n = 1, 0  # sentinel: 1/0 = +infinity
+    for n in range(window, horizon + 1):
+        c = count_leq(n) - zero_adjust
+        if c * hi_n > hi_c * n:
+            hi_c, hi_n = c, n
+        if lo_n == 0 or c * lo_n < lo_c * n:
+            lo_c, lo_n = c, n
+
+    if els:
+        gap = max(els[0], horizon - els[-1])
+        for i in range(1, len(els)):
+            gap = max(gap, els[i] - els[i - 1] - 1)
+    else:
+        gap = None
+
+    max_run = run = 0
+    prev = None
+    for e in els:
+        run = run + 1 if prev is not None and e == prev + 1 else 1
+        max_run = max(max_run, run)
+        prev = e
+
+    return (Fraction(best_hi, window), Fraction(best_lo, window),
+            Fraction(hi_c, hi_n), Fraction(lo_c, lo_n), gap, max_run)
+
+
+def profile_fields(prof):
+    return (prof.upper_banach, prof.lower_banach, prof.upper_density,
+            prof.lower_density, prof.syndetic_gap, prof.max_run)
 
 
 class TestNatSet:
@@ -253,6 +314,65 @@ class TestDensityProfile:
             rl.density_profile(a, 31)
 
 
+@st.composite
+def sets_and_windows(draw, max_horizon=60):
+    horizon = draw(st.integers(1, max_horizon))
+    els = draw(st.one_of(
+        st.sets(st.integers(0, horizon), max_size=horizon + 1),
+        # dense sets: the full interval with a few holes
+        st.sets(st.integers(0, horizon), max_size=6).map(
+            lambda holes: set(range(horizon + 1)) - holes)))
+    window = draw(st.integers(1, horizon))
+    return rl.NatSet(tuple(sorted(els)), horizon), window
+
+
+class TestDensitySweep:
+    """The breakpoint sweep of `density_profile` against the horizon scan."""
+
+    @given(sets_and_windows())
+    def test_matches_horizon_scan(self, case):
+        a, window = case
+        assert profile_fields(rl.density_profile(a, window)) == \
+            horizon_scan_profile(a, window)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 7, 60])
+    @pytest.mark.parametrize("shape", ["empty", "zero", "top", "zero-top", "full",
+                                       "full-but-zero", "head", "tail"])
+    def test_crafted_sets_every_window(self, shape, horizon):
+        els = {"empty": (), "zero": (0,), "top": (horizon,), "zero-top": (0, horizon),
+               "full": tuple(range(horizon + 1)),
+               "full-but-zero": tuple(range(1, horizon + 1)),
+               "head": tuple(range(horizon // 2 + 1)),
+               "tail": tuple(range(horizon // 2, horizon + 1))}[shape]
+        a = rl.NatSet(els, horizon)
+        # every window from 1 to the horizon, both ends included
+        for window in range(1, horizon + 1):
+            assert profile_fields(rl.density_profile(a, window)) == \
+                horizon_scan_profile(a, window), window
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_sets_at_larger_horizon(self, seed):
+        rng = random.Random(seed)
+        horizon = 5000
+        for density in (0.002, 0.3, 0.97):
+            els = tuple(e for e in range(horizon + 1) if rng.random() < density)
+            a = rl.NatSet(els, horizon)
+            for window in (1, 37, 1000, horizon):
+                assert profile_fields(rl.density_profile(a, window)) == \
+                    horizon_scan_profile(a, window)
+
+    def test_ladder_scale_horizon(self):
+        # no cost in the horizon: three elements under a 141-digit horizon
+        horizon = 10 ** 140
+        a = rl.NatSet((5, 10 ** 70, horizon), horizon)
+        prof = rl.density_profile(a, 10 ** 69)
+        assert prof.upper_banach == Fraction(1, 10 ** 69)
+        assert prof.lower_banach == 0
+        assert prof.upper_density == Fraction(1, 10 ** 69)
+        assert prof.lower_density == Fraction(2, 10 ** 140 - 1)
+        assert prof.syndetic_gap == horizon - 10 ** 70 - 1
+
+
 def prof_ap(a):
     return rl.density_profile(a, 4).max_ap_length
 
@@ -289,6 +409,35 @@ class TestLongestProgression:
         for els, flag in [((), False), ((4,), False), ((1, 3, 5), False), ((2, 3), True)]:
             prof = rl.density_profile(rl.NatSet(els, 10), 2)
             assert prof.contains_consecutive_pair is flag
+
+
+def scan_find_ap(a, length):
+    """Oracle: every start in the set and every diff that fits under the horizon."""
+    members = set(a.elements)
+    span = length - 1
+    for start in a.elements:
+        for d in range(1, (a.horizon - start) // span + 1):
+            if all(start + k * d in members for k in range(1, length)):
+                return (start, d)
+    return None
+
+
+class TestFindAp:
+    @given(st.sets(st.integers(0, 60), max_size=25), st.integers(0, 20),
+           st.integers(2, 6))
+    def test_matches_diff_scan(self, els, extra, length):
+        horizon = max(els, default=0) + extra
+        a = rl.NatSet(tuple(sorted(els)), horizon)
+        assert rl.find_ap(a, length) == scan_find_ap(a, length)
+
+    def test_sparse_set_at_huge_horizon(self):
+        a = rl.Explicit((1, 10 ** 6, 10 ** 11)).materialize(10 ** 12)
+        t0 = time.perf_counter()
+        assert rl.find_ap(a, 3) is None
+        assert rl.find_ap(a, 2) == (1, 10 ** 6 - 1)
+        b = rl.Explicit((7, 10 ** 11 + 7, 2 * 10 ** 11 + 7, 10 ** 12)).materialize(10 ** 12)
+        assert rl.find_ap(b, 3) == (7, 10 ** 11)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestWindowPairWitness:
