@@ -16,7 +16,7 @@ from .natset import (ArithmeticProgression, CofinitenessReport, DeltaOf,
 from .opcore import (SUP, Applied, BlockPermutationIsometry, Diagonal,
                      OpcoreError, Vec, WeightedBackwardShift,
                      basis_vec, diagonal_rotation, distance, dyadic_comb,
-                     krylov_rank, unimodular_eigen_indices, vec_of, zero_vec)
+                     krylov_rank, stack, unimodular_eigen_indices, vec_of, zero_vec)
 from .perturbed_rotation import (DEFAULT_MESH, GROWTH_RULES, ConstructionError,
                                  FunctionalGrid, GridEntry, GridResolutionError,
                                  ModulusLadder, PerturbedRotation, RigidityDefect,
@@ -30,8 +30,7 @@ from .dynamics import (DynamicsError, InclusionReport, PeriodClassification,
                        QrFailure, QrWitness, ReturnSpec,
                        classify_period_by_density, commutant_return_inclusion,
                        detect_period, displacements, orbit_returns, polynomial_apply,
-                       quasi_rigidity_search, return_set, subsample_return_set,
-                       tuple_recurrence_probe)
+                       quasi_rigidity_search, return_set, subsample_return_set)
 from .report import (atomic_write_text, descriptor_hash, line_plot_svg,
                      make_record, write_csv, write_json, write_svg)
 
@@ -44,7 +43,7 @@ __all__ = [
     "density_profile", "find_ap", "intersects", "window_pair_witness",
     "SUP", "Applied", "BlockPermutationIsometry", "Diagonal",
     "OpcoreError", "Vec", "WeightedBackwardShift", "basis_vec",
-    "diagonal_rotation", "distance", "dyadic_comb", "krylov_rank",
+    "diagonal_rotation", "distance", "dyadic_comb", "krylov_rank", "stack",
     "unimodular_eigen_indices", "vec_of", "zero_vec",
     "DEFAULT_MESH", "GROWTH_RULES", "ConstructionError", "FunctionalGrid",
     "GridEntry", "GridResolutionError", "ModulusLadder", "PerturbedRotation",
@@ -56,7 +55,7 @@ __all__ = [
     "QrWitness", "ReturnSpec", "classify_period_by_density",
     "commutant_return_inclusion", "detect_period", "displacements", "orbit_returns",
     "polynomial_apply", "quasi_rigidity_search", "return_set",
-    "subsample_return_set", "tuple_recurrence_probe",
+    "subsample_return_set",
     "atomic_write_text", "descriptor_hash", "line_plot_svg", "make_record",
     "write_csv", "write_json", "write_svg",
     "__version__",

@@ -14,6 +14,7 @@ or bad config (non-finite numbers included), 2 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -235,10 +236,6 @@ def vector_from(cfg: Cfg, op: pr.PerturbedRotation) -> opcore.Vec:
     raise ConfigError(f"{cfg._at('kind')!r}: unknown vector kind {kind!r}")
 
 
-def head_basis(op: pr.PerturbedRotation) -> list[opcore.Vec]:
-    return [opcore.basis_vec(i, op.dim_cap, op.p) for i in range(1, op.head + 1)]
-
-
 def _normalized(x: opcore.Vec) -> opcore.Vec:
     n = x.norm()
     if n == 0:
@@ -361,7 +358,7 @@ def cmd_rigidity(cfg: Cfg, args, sink: Sink) -> int:
         samples = [_normalized(vector_from(Cfg(v, f"samples[{i}]"), op))
                    for i, v in enumerate(cfg.get_list("samples"))]
     else:
-        samples = head_basis(op) + [_normalized(opcore.dyadic_comb(op.dim_cap, op.p))]
+        samples = op.head_basis() + [_normalized(opcore.dyadic_comb(op.dim_cap, op.p))]
     rows = []
     worst = 0.0
     all_within = True
@@ -435,7 +432,7 @@ def cmd_qr_search(cfg: Cfg, args, sink: Sink) -> int:
         samples = [vector_from(Cfg(v, f"samples[{i}]"), op)
                    for i, v in enumerate(cfg.get_list("samples"))]
     else:
-        samples = head_basis(op)
+        samples = op.head_basis()
     target = op.rotation_part() if rotation_only else op
     try:
         result = dynamics.quasi_rigidity_search(target, samples, schedule, candidates)
@@ -524,7 +521,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state on it."""
     top = _Parser(
         prog="recurlab",
         description="Return-time experiments on truncated sequence space operators.")

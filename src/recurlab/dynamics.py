@@ -1,11 +1,12 @@
 """Return-time dynamics on truncated sequence space operators.
 
-Every probe reads its distances from one evaluator, `displacements(op, ns, x)`
-(defined in `opcore`, beside the kernels), which hands the operator's
-closed-form `powers(ns, x)` blocks of `opcore.CHUNK` times, so a distance at
-time n costs the same whether n is 7 or 10**40 and scratch memory does not
-grow with the horizon.  Return sets land in `natset.NatSet` and can be fed
-straight into the density machinery.
+Every probe reads its distances, one list per time with one per sample, from
+one evaluator, `displacements(op, ns, samples)` (in `opcore`, beside the
+kernels).  It hands the closed-form `powers(ns, X)` the whole stack of samples
+in blocks of at most `opcore.CHUNK` rows, so a time's phases and coefficients
+are built once for every sample, a distance at time n costs the same whether
+n is 7 or 10**40, and scratch memory does not grow with the horizon.  Return
+sets land in `natset.NatSet` and can be fed straight into the density machinery.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .natset import NatSet, density_profile, window_pair_witness
-from .opcore import Vec, displacements
+from .opcore import Vec, displacements, stack
 from .perturbed_rotation import PerturbedRotation
 
 
@@ -51,7 +52,7 @@ def orbit_returns(op, x: Vec, eps: float, horizon: int) -> tuple[NatSet, list[fl
     """The return set up to the horizon and || T^n x - x || for every n in 0..horizon."""
     spec = ReturnSpec(eps, horizon)
     times = range(spec.horizon + 1)
-    ds = list(displacements(op, times, x))
+    ds = [d for d, in displacements(op, times, [x])]
     return _returns(times, ds, spec), ds
 
 
@@ -75,19 +76,7 @@ def subsample_return_set(op, x: Vec, eps: float, candidates: Iterable[int],
     if hor < cand[-1]:
         raise DynamicsError("horizon below largest candidate")
     spec = ReturnSpec(eps, hor)
-    return _returns(cand, list(displacements(op, cand, x)), spec)
-
-
-def tuple_recurrence_probe(op, vectors: Sequence[Vec], eps: float,
-                           candidates: Iterable[int]) -> Optional[int]:
-    """Least candidate time moving every vector by less than eps, if any."""
-    if eps <= 0:
-        raise DynamicsError("eps must be positive")
-    times = [n for n in sorted(set(int(c) for c in candidates)) if n >= 1]
-    for n, *ds in zip(times, *(displacements(op, times, x) for x in vectors)):
-        if all(d < eps for d in ds):
-            return n
-    return None
+    return _returns(cand, [d for d, in displacements(op, cand, [x])], spec)
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +124,8 @@ QrResult = Union[QrWitness, QrFailure]
 
 
 def _covers_head_basis(op, samples: Sequence[Vec]) -> bool:
-    if not isinstance(op, PerturbedRotation):
-        return False
-    found = [False] * op.head
-    for x in samples:
-        arr = x.coords
-        nz = np.nonzero(arr)[0]
-        if len(nz) == 1 and nz[0] < op.head and arr[nz[0]] == 1:
-            found[nz[0]] = True
-    return all(found)
+    return isinstance(op, PerturbedRotation) and all(
+        any(np.array_equal(x.coords, e.coords) for x in samples) for e in op.head_basis())
 
 
 def quasi_rigidity_search(op, samples: Sequence[Vec], eps_schedule: Sequence[float],
@@ -166,10 +148,7 @@ def quasi_rigidity_search(op, samples: Sequence[Vec], eps_schedule: Sequence[flo
     if not cand:
         raise DynamicsError("no candidate times given")
 
-    floor = None
-    if _covers_head_basis(op, samples):
-        floor = op.center_defect_floor()
-
+    floor = op.center_defect_floor() if _covers_head_basis(op, samples) else None
     times: list[int] = []
     defects: list[float] = []
     prev = 0
@@ -178,8 +157,7 @@ def quasi_rigidity_search(op, samples: Sequence[Vec], eps_schedule: Sequence[flo
         best_d = math.inf
         best_n = 0
         later = [n for n in cand if n > prev]
-        for n, *ds in zip(later, *(displacements(op, later, x) for x in samples)):
-            d = max(ds)
+        for n, d in zip(later, map(max, displacements(op, later, samples))):
             if d < best_d:
                 best_d, best_n = d, n
             if d <= eps:
@@ -263,7 +241,7 @@ def polynomial_apply(op, coeffs: Sequence[complex], x: Vec) -> tuple[Vec, float]
     """(sum_j c_j T^j) x from one block of closed-form powers; returns the truncation loss too."""
     if not coeffs:
         raise DynamicsError("empty polynomial")
-    rows = op.powers(range(len(coeffs)), x)
+    rows = op.powers(range(len(coeffs)), stack(op, [x]))[:, 0]
     acc = np.zeros_like(x.coords)
     loss = 0.0
     for j, c in enumerate(coeffs):
@@ -319,9 +297,9 @@ def commutant_return_inclusion(op, coeffs: Sequence[complex], x: Vec,
     count = 0
     times = range(spec.horizon + 1)
     # the tight return times, read twice: to list them and to move S x by them
-    returns, again = itertools.tee(n for n, d in zip(times, displacements(op, times, x))
+    returns, again = itertools.tee(n for n, (d,) in zip(times, displacements(op, times, [x]))
                                    if d < tight)
-    for n, d in zip(returns, displacements(op, again, sx)):
+    for n, (d,) in zip(returns, displacements(op, again, [sx])):
         count += 1
         if not d < spec.eps:
             first = n

@@ -9,11 +9,13 @@ Every operator here and `perturbed_rotation.PerturbedRotation` share one
 protocol:
 
 - `dim_cap` and `p`: the truncation size and the norm exponent it acts on;
-- `powers(ns, x)`: the rows T^n x for a block of natural times, as a
-  `(len(ns), dim_cap)` complex array; the one kernel every probe runs on,
-  through `displacements(op, ns, x)`, which feeds it CHUNK times at a time;
-- `power(n, x)`: its one-row case, an `Applied(vec, loss)` pair with
-  `loss(n, x)` beside it, where `loss` upper-bounds whatever mass the
+  `check(x)` rejects a vector of another size or norm;
+- `powers(ns, X)`: T^n x for a block of natural times and an `(s, dim_cap)`
+  stack of samples (`stack(op, samples)`) as a `(len(ns), s, dim_cap)` array,
+  the work that does not depend on x done once per block; the one kernel
+  every probe reads through `displacements(op, ns, samples)`;
+- `power(n, x)`: its one-time, one-sample case, an `Applied(vec, loss)` pair
+  with `loss(n, x)` beside it, where `loss` upper-bounds whatever mass the
   truncation discarded (exactly zero for maps that never push coordinates
   past dim_cap);
 - `apply(x)`: one step, `power(1, x)`;
@@ -23,11 +25,11 @@ protocol:
 Powers are computed in closed form, elementwise in n, so the cost never
 depends on the magnitude of the exponent for rotations and permutations.
 Exact phases reduce (n * num) mod den exactly (`Moduli.residues`: int64
-where it cannot overflow, Python ints otherwise) before one division;
-plain complex entries are raised by binary exponentiation (`int_powers`).
-`PerturbedRotation` reduces n mod m_k once per block and builds both R^n
-(`Moduli.turns`, as its `rotation_part()` does) and its perturbation
-coefficients from those residues.
+where it cannot overflow, Python ints otherwise) before one division, on the
+columns some sample is nonzero on; plain complex entries are raised by binary
+exponentiation (`int_powers`).  `PerturbedRotation` reduces n mod m_k once
+per block and builds both R^n (`Moduli.turns`, as its `rotation_part()`
+does) and its perturbation coefficients from those residues.
 """
 
 from __future__ import annotations
@@ -63,14 +65,6 @@ _I64_SAFE = 1 << 62
 _I64_MAX = (1 << 63) - 1
 
 
-def natural_times(ns: Iterable[int], error: type) -> list[int]:
-    """The times as Python ints; a negative one raises `error`."""
-    times = [operator.index(n) for n in ns]
-    if times and min(times) < 0:
-        raise error("exponent must be a natural number")
-    return times
-
-
 class Denominators:
     """Integers den_j > 0 to divide column j of an integer array by.
 
@@ -85,19 +79,20 @@ class Denominators:
         self._floats = np.array([float(d >> s) for d, s in zip(dens, shift)])
         self._shift = -np.array(shift, dtype=np.int64) if any(shift) else None
 
-    def ratio(self, a: np.ndarray) -> np.ndarray:
-        """a[:, j] / den_j as float64."""
-        if a.dtype == object:
-            return (a / self.objects).astype(np.float64)
-        q = a / self._floats
-        return q if self._shift is None else np.ldexp(q, self._shift)
+    def ratio(self, a: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """a / den[cols] as float64, den[cols] broadcast along a's last axis."""
+        if a.dtype.hasobject:
+            return (a / self.objects[cols]).astype(np.float64)
+        q = a / self._floats[cols]
+        return q if self._shift is None else np.ldexp(q, self._shift[cols])
 
 
 class Moduli:
     """Exact phases num_j/den_j (den_j > 0), prepared once for blocks of times.
 
     `residues` reduces n * num_j mod den_j exactly: in int64 while every
-    product stays below 2^62 in magnitude, in Python ints otherwise.
+    product stays below 2^62 in magnitude, in Python ints otherwise.  Both
+    methods take the columns to work on (an index or a boolean mask).
     """
 
     def __init__(self, nums: Sequence[int], dens: Sequence[int]) -> None:
@@ -109,19 +104,21 @@ class Moduli:
             self._int64 = (np.array(nums, dtype=np.int64),
                            np.array([min(d, _I64_MAX) for d in dens], dtype=np.int64))
         self._nums = np.array(nums, dtype=object)
+        self._unit = all(v == 1 for v in nums)  # phases 1/den_j need no product
         self.dens = Denominators(dens)
 
-    def residues(self, ns: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    def residues(self, ns: Sequence[int], cols=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """(r, d): r[t, j] = (ns[t] * num_j) mod den_j, d the moduli in r's dtype."""
         if self._int64 is not None and max(ns, default=0) * self._reach < _I64_SAFE:
-            nums, dens = self._int64
-            return np.array(ns, dtype=np.int64)[:, None] * nums % dens, dens
-        dens = self.dens.objects
-        return np.array(ns, dtype=object)[:, None] * self._nums % dens, dens
+            n, (nums, dens) = np.array(ns, dtype=np.int64)[:, None], self._int64
+        else:
+            n, nums, dens = np.array(ns, dtype=object)[:, None], self._nums, self.dens.objects
+        dens = dens[cols]
+        return (n if self._unit else n * nums[cols]) % dens, dens
 
-    def turns(self, r: np.ndarray) -> np.ndarray:
+    def turns(self, r: np.ndarray, cols=slice(None)) -> np.ndarray:
         """exp(2*pi*i * r[:, j] / den_j): the unit phases of residues as `residues` returns them."""
-        return np.exp(2j * np.pi * self.dens.ratio(r))
+        return np.exp(2j * np.pi * self.dens.ratio(r, cols))
 
 
 def int_powers(v: complex, ns: Sequence[int]) -> np.ndarray:
@@ -233,33 +230,48 @@ def distance(x: Vec, y: Vec) -> float:
 
 
 def row_norms(rows: np.ndarray, p: float) -> np.ndarray:
-    """`Vec.norm` of every row of a 2-D coordinate array."""
-    if rows.shape[1] == 0:
-        return np.zeros(len(rows))
-    return np.linalg.norm(rows, ord=p, axis=1)
+    """`Vec.norm` of every row (last axis) of a coordinate array."""
+    if rows.shape[-1] == 0:
+        return np.zeros(rows.shape[:-1])
+    return np.linalg.norm(rows, ord=p, axis=-1)
 
 
-# times per kernel call: scratch memory stays at a few CHUNK x dim_cap arrays
-# whatever the horizon.  Larger blocks save little per time on dense sweeps
-# but raise the peak memory of multi-sample probes, and one time past 2^62
-# sends the whole block down the Python-int path.
+# rows (times x samples) per kernel call: scratch memory stays at a few
+# CHUNK x dim_cap arrays whatever the horizon or the sample count.  Larger
+# blocks save little per time on dense sweeps but raise the peak memory of
+# multi-sample probes.
 CHUNK = 64
 
 
-def blocks(ns: Iterable[int]) -> Iterator[list[int]]:
-    """The times of ns in order, in lists of at most CHUNK."""
+def blocks(ns: Iterable[int], size: int = CHUNK) -> Iterator[list[int]]:
+    """The times of ns in order, in lists of at most size, also cut where they cross
+    2^62: one huge time must not send its neighbours down the Python-int path."""
     times = iter(ns)
-    while block := list(itertools.islice(times, CHUNK)):
-        yield block
+    while block := list(itertools.islice(times, size)):
+        if max(block) >= _I64_SAFE > min(block):
+            yield from (list(run) for _, run in itertools.groupby(block, _I64_SAFE.__gt__))
+        else:
+            yield block
 
 
-def displacements(op, ns: Iterable[int], x: Vec) -> Iterator[float]:
-    """|| T^n x - x || for each n of ns in order, one block of times per `powers` call.
+def stack(op, samples: Sequence[Vec]) -> np.ndarray:
+    """The samples as one (s, dim_cap) coordinate stack, each checked by `op.check` first."""
+    for x in samples:
+        op.check(x)
+    return np.array([x.coords for x in samples], dtype=complex).reshape(len(samples), op.dim_cap)
 
-    Lazy: a caller that stops reading early leaves at most one block unused.
+
+def displacements(op, ns: Iterable[int], samples: Sequence[Vec]) -> Iterator[list[float]]:
+    """[|| T^n x - x || for x in samples] for each n of ns in order.
+
+    Each `powers` call takes a block of times and the whole stack, at most CHUNK
+    rows in all.  Lazy: a caller that stops early leaves at most one block unused.
     """
-    for block in blocks(ns):
-        yield from row_norms(op.powers(block, x) - x.coords, x.p).tolist()
+    xs = stack(op, samples)
+    for block in blocks(ns, max(1, CHUNK // max(1, len(xs)))):
+        rows = op.powers(block, xs)
+        rows -= xs
+        yield from row_norms(rows, op.p).tolist()
 
 
 class Applied(NamedTuple):
@@ -268,11 +280,28 @@ class Applied(NamedTuple):
 
 
 class Operator:
-    """`power(n, x)` as the one-row case of the operator's `powers(ns, x)`, and
-    `apply(x)` as `power(1, x)`."""
+    """`power` and `apply` as one-row cases of `powers(ns, X)`, and the shared checks."""
+
+    error: type = OpcoreError
+
+    def check(self, x: Vec) -> None:
+        """Raise `error` unless x has the operator's dim_cap and norm exponent."""
+        if x.dim_cap != self.dim_cap:
+            raise self.error("dimension mismatch")
+        if x.p != self.p:
+            raise self.error("norm kind mismatch")
+
+    def _times(self, ns: Iterable[int], xs: np.ndarray) -> list[int]:
+        """The times as Python ints, once xs is known to be an (s, dim_cap) stack."""
+        if xs.ndim != 2 or xs.shape[1] != self.dim_cap:
+            raise self.error("dimension mismatch")
+        times = [operator.index(n) for n in ns]
+        if times and min(times) < 0:
+            raise self.error("exponent must be a natural number")
+        return times
 
     def power(self, n: int, x: Vec) -> Applied:
-        return Applied(Vec(self.powers([n], x)[0], x.p), self.loss(n, x))
+        return Applied(Vec(self.powers([n], stack(self, [x]))[0, 0], x.p), self.loss(n, x))
 
     def apply(self, x: Vec) -> Applied:
         return self.power(1, x)
@@ -280,11 +309,6 @@ class Operator:
     def loss(self, n: int, x: Vec) -> float:
         """Upper bound on the mass of T^n x the truncation discards: none by default."""
         return 0.0
-
-
-def _check_dim(op, x: Vec) -> None:
-    if x.dim_cap != op.dim_cap:
-        raise OpcoreError("dimension mismatch")
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,16 +338,17 @@ class Diagonal(Operator):
     def dim_cap(self) -> int:
         return len(self.entries)
 
-    def powers(self, ns: Iterable[int], x: Vec) -> np.ndarray:
-        _check_dim(self, x)
-        ns = natural_times(ns, OpcoreError)
+    def powers(self, ns: Iterable[int], xs: np.ndarray) -> np.ndarray:
+        ns = self._times(ns, xs)
         mults = np.ones((len(ns), self.dim_cap), dtype=np.complex128)
         idx, turns = self._turns
-        if len(idx):
-            mults[:, idx] = turns.turns(turns.residues(ns)[0])
+        # only the phases some sample can see
+        seen = xs[:, idx].any(axis=0)
+        if seen.any():
+            mults[:, idx[seen]] = turns.turns(turns.residues(ns, seen)[0], seen)
         for i, v in self._plain:
             mults[:, i] = int_powers(v, ns)
-        return x.coords * mults
+        return xs * mults[:, None, :]
 
     def descriptor(self) -> dict:
         ents = []
@@ -358,14 +383,14 @@ class WeightedBackwardShift(Operator):
     dim_cap: int
     p: float = 2.0
 
-    def powers(self, ns: Iterable[int], x: Vec) -> np.ndarray:
+    def powers(self, ns: Iterable[int], xs: np.ndarray) -> np.ndarray:
         """Row n is weight^n times the window x_{n+1}, x_{n+2}, ..., zero past the cap."""
-        _check_dim(self, x)
         d = self.dim_cap
-        steps = np.array([min(n, d) for n in natural_times(ns, OpcoreError)], dtype=np.int64)
-        window = np.append(x.coords, 0)[np.minimum(steps[:, None] + np.arange(d), d)]
+        steps = np.array([min(n, d) for n in self._times(ns, xs)], dtype=np.int64)
+        window = _gather(xs, np.minimum(steps[:, None] + np.arange(d), d))
         # no weight power where nothing is left
-        return int_powers(self.weight, np.where(steps < d, steps, 0).tolist())[:, None] * window
+        weights = int_powers(self.weight, np.where(steps < d, steps, 0).tolist())
+        return weights[:, None, None] * window
 
     def descriptor(self) -> dict:
         w = complex(self.weight)
@@ -374,6 +399,11 @@ class WeightedBackwardShift(Operator):
 
     def norm_bound(self) -> float:
         return abs(self.weight)
+
+
+def _gather(xs: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """out[t, i, j] = xs[i, src[t, j]], reading zero where src[t, j] is dim_cap."""
+    return np.concatenate((xs, np.zeros((len(xs), 1))), axis=1)[:, src].swapaxes(0, 1)
 
 
 def _block_of(k: int) -> tuple[int, int]:
@@ -406,21 +436,20 @@ class BlockPermutationIsometry(Operator):
         # every whole cycle length divides the longest one
         object.__setattr__(self, "_period", int(self._size[~cut].max(initial=1)))
 
-    def powers(self, ns: Iterable[int], x: Vec) -> np.ndarray:
+    def powers(self, ns: Iterable[int], xs: np.ndarray) -> np.ndarray:
         """Row n gathers each coordinate from n slots back in its block."""
-        _check_dim(self, x)
-        ns = natural_times(ns, OpcoreError)
+        ns = self._times(ns, xs)
         d, lo = self.dim_cap, self._lo
         turn = np.array([n % self._period for n in ns], dtype=np.int64)[:, None]
         walk = np.array([min(n, d) for n in ns], dtype=np.int64)[:, None]
         j = np.arange(d)
         src = np.where(self._cut, j - walk, lo + (j - lo - turn) % self._size)
         # a cut block has nothing to gather from before its start
-        return np.append(x.coords, 0)[np.where(src >= lo, src, d)]
+        return _gather(xs, np.where(src >= lo, src, d))
 
     def loss(self, n: int, x: Vec) -> float:
         """Norm of the coordinates of cut blocks that n steps push past dim_cap."""
-        _check_dim(self, x)
+        self.check(x)
         gone = self._cut & (np.arange(1, self.dim_cap + 1) + min(n, self.dim_cap) > self.dim_cap)
         return Vec(np.where(gone, x.coords, 0), x.p).norm()
 
@@ -440,12 +469,9 @@ def krylov_rank(op, x: Vec, depth: int, tol: float = 1e-9) -> int:
     """
     if depth < 1:
         raise OpcoreError("depth must be >= 1")
-    rows = np.zeros((depth, x.dim_cap), dtype=np.complex128)
-    cur = x
-    for i in range(depth):
-        rows[i] = cur.coords
-        if i + 1 < depth:
-            cur = op.apply(cur).vec
+    rows = np.empty((depth, x.dim_cap), dtype=np.complex128)
+    for block in blocks(range(depth)):
+        rows[block[0]: block[-1] + 1] = op.powers(block, stack(op, [x]))[:, 0]
     svals = np.linalg.svd(rows, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0

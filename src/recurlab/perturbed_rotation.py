@@ -18,11 +18,12 @@ Numerics are arranged so that exactness survives the truncation.  Moduli are
 plain Python integers of arbitrary size, power phases reduce n mod m_k
 exactly before any float enters (int64 where it cannot overflow, Python ints
 otherwise), and each ratio of integers is one division: int/int, correctly
-rounded, at ladder scale.  `powers` evaluates a block of times at every
-level at once from one reduction of n mod m_k per block, and geometric
-phase sums use the folded-sine form min(r, m-r) * sinc(pi*rho)/sinc(pi/m),
-which is immune to underflow for astronomically large moduli and never
-exceeds the integer envelope.
+rounded, at ladder scale.  `powers` evaluates a block of times for a stack
+of samples at every level at once, from one reduction of n mod m_k and one
+row of coefficients per block shared by every sample.  Geometric phase sums
+use the folded-sine form min(r, m-r) * sinc(pi*rho)/sinc(pi/m), which is
+immune to underflow for astronomically large moduli and never exceeds the
+integer envelope.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .opcore import (SUP, Denominators, Diagonal, Moduli, Operator, Vec, blocks,
-                     diagonal_rotation, displacements, distance, natural_times, norm_kind)
+from .opcore import (SUP, Denominators, Diagonal, Moduli, Operator, Vec, basis_vec,
+                     diagonal_rotation, displacements, norm_kind)
 
 TWO_PI = 2.0 * math.pi
 
@@ -262,12 +263,6 @@ def build_functional_grid(fold_n: int, mesh_levels: Sequence = DEFAULT_MESH,
 # ---------------------------------------------------------------------------
 # the operator
 
-def _sinc_pi(t):
-    """sin(pi t)/(pi t) extended by 1 at zero, elementwise; t in [0, 1]."""
-    x = np.pi * np.asarray(t, dtype=np.float64)
-    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x > 0)
-
-
 @dataclass(frozen=True, eq=False)
 class PerturbedRotation(Operator):
     fold_n: int
@@ -278,6 +273,8 @@ class PerturbedRotation(Operator):
     functional_bound: float = 1.0
     mesh_levels: tuple[Fraction, ...] = DEFAULT_MESH
     targets: tuple[tuple[complex, ...], ...] = ()
+
+    error = ConstructionError
 
     def __post_init__(self) -> None:
         if self.modulus.fold_n != self.fold_n or self.grid.fold_n != self.fold_n:
@@ -297,7 +294,7 @@ class PerturbedRotation(Operator):
         pert = self.modulus.values[self.head:]
         object.__setattr__(self, "_phases", Moduli([1] * len(pert), pert))
         object.__setattr__(self, "_prev", Denominators(self.modulus.values[self.head - 1:-1]))
-        object.__setattr__(self, "_sinc_unit", _sinc_pi([1 / v for v in pert]))
+        object.__setattr__(self, "_sinc_unit", np.sinc([1 / v for v in pert]))
         # (2 m_{k-1}, m_k) for the six levels past the truncation, for loss
         ext = [self.modulus.extended_m(k) for k in range(levels, levels + 7)]
         object.__setattr__(self, "_tail", tuple(zip([2 * v for v in ext], ext[1:])))
@@ -318,6 +315,10 @@ class PerturbedRotation(Operator):
     def rotation_part(self) -> Diagonal:
         """R: the exact unit phase 1/m_k on level k, identity past the levels."""
         return self._rotation
+
+    def head_basis(self) -> list[Vec]:
+        """The unit vectors e_1..e_head that P keeps."""
+        return [basis_vec(i, self.dim_cap, self.p) for i in range(1, self.head + 1)]
 
     def descriptor(self) -> dict:
         return {
@@ -351,37 +352,48 @@ class PerturbedRotation(Operator):
             raise ConstructionError(f"level {k} outside {self.head + 1}..{self.levels}")
         if n < 1:
             raise ConstructionError("n must be >= 1")
-        r, m = self._phases.residues([n])
-        folded, shrink, phase = self._sum_parts(r, m)
-        j = k - self.head - 1
-        if r[0, j] == 0:
+        j = [k - self.head - 1]
+        r, m = self._phases.residues([n], j)
+        if r[0, 0] == 0:
             return 0j
-        if folded[0, j] > 1e306:
+        folded, _, shrink, phase = self._sum_parts(r[0], m, j)
+        if folded[0] > 1e306:
             raise OverflowError("phase sum magnitude exceeds float range")
-        return complex(float(folded[0, j]) * shrink[0, j] * phase[0, j])
+        return complex(float(folded[0]) * shrink[0] * phase[0])
 
-    def _sum_parts(self, r: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(folded residue, sinc ratio, unit phase) of the phase sums at every
-        perturbed level, from the residues r = n mod m_k that `Moduli.residues`
-        gives for a block of times."""
+    def _sum_parts(self, r: np.ndarray, m: np.ndarray, cols) -> tuple[np.ndarray, ...]:
+        """(folded residue, its ratio to m_k, sinc ratio, unit phase) of the phase sums
+        for r = n mod m_k at the perturbed levels `cols` selects; meaningless at r = 0."""
         folded = np.minimum(r, m - r)
         ratio = self._phases.dens.ratio
-        shrink = np.minimum(1.0, _sinc_pi(ratio(folded)) / self._sinc_unit)
-        return folded, shrink, np.exp(1j * np.pi * ratio(r - 1))
+        q = ratio(folded, cols)
+        shrink = np.minimum(1.0, np.sinc(q) / self._sinc_unit[cols])
+        return folded, q, shrink, np.exp(1j * np.pi * ratio(r - 1, cols))
 
     def _coeffs(self, r: np.ndarray, m: np.ndarray) -> np.ndarray:
         """phase_sum(k, n) / m_{k-1} for every time (rows) and perturbed level k
-        (columns), computed as a ratio so it never overflows."""
-        folded, shrink, phase = self._sum_parts(r, m)
-        return np.where(r != 0, self._prev.ratio(folded) * shrink * phase, 0j)
+        (columns), computed as a ratio so it never overflows; 0 where m_k divides n.
+
+        Python-int division is costly: Python-int residues are worked on only
+        where nonzero (m_k divides a ladder-scale time for most k), and folded /
+        m_{k-1} is taken from the entry before when that one is at level k - 1
+        with the same folded residue (as at every level past the largest m_k | n).
+        """
+        if not r.dtype.hasobject:
+            folded, _, shrink, phase = self._sum_parts(r, m, slice(None))
+            return self._prev.ratio(folded) * shrink * phase
+        out = np.zeros(r.shape, dtype=np.complex128)
+        hit = np.nonzero(r)
+        cols = hit[1]
+        folded, q, shrink, phase = self._sum_parts(r[hit], m[cols], cols)
+        prev = np.empty(len(folded))
+        same = (np.diff(cols, prepend=-2) == 1) & (folded == np.roll(folded, 1))
+        prev[same] = q[np.flatnonzero(same) - 1]
+        prev[~same] = self._prev.ratio(folded[~same], cols[~same])
+        out[hit] = prev * shrink * phase
+        return out
 
     # -- action ---------------------------------------------------------------
-
-    def _check(self, x: Vec) -> None:
-        if x.dim_cap != self.dim_cap:
-            raise ConstructionError("dimension mismatch")
-        if x.p != self.p:
-            raise ConstructionError("norm kind mismatch")
 
     def loss(self, n: int, x: Vec) -> float:
         """Estimate of the perturbation the untruncated T^n would add past levels.
@@ -400,35 +412,21 @@ class PerturbedRotation(Operator):
         total += last  # remainder, dominated by one extra term
         return self._mu * x.norm() * total
 
-    def powers(self, ns: Iterable[int], x: Vec) -> np.ndarray:
-        """T^n x for a block of times in closed form; cost is independent of the size of n."""
-        self._check(x)
-        ns = natural_times(ns, ConstructionError)
+    def powers(self, ns: Iterable[int], xs: np.ndarray) -> np.ndarray:
+        """T^n x for a block of times and a stack of samples; cost is independent of n."""
+        ns = self._times(ns, xs)
         r, m = self._phases.residues(ns)
-        y = np.tile(x.coords, (len(ns), 1))
+        y = np.repeat(xs[None], len(ns), axis=0)
         levels = slice(self.head, self.levels)
-        y[:, levels] *= self._phases.turns(r)  # R^n
-        # <w_k, P x> per level, each summed over the head in the same order
-        weights = (self._alpha * x.coords[: self.head]).sum(axis=1)
-        y[:, levels] += self._coeffs(r, m) * weights
+        # R^n, on the level columns some sample can see
+        seen = xs[:, levels].any(axis=0).nonzero()[0]
+        if seen.size:
+            y[:, :, seen + self.head] *= self._phases.turns(r[:, seen], seen)[:, None]
+        # <w_k, P x> per sample and level, each summed over the head in the same order
+        # (alpha first: numpy's complex product need not commute bit for bit)
+        weights = np.add.reduce(self._alpha * xs[:, None, : self.head], axis=2)
+        y[:, :, levels] += self._coeffs(r, m)[:, None] * weights
         return y
-
-    def head_basis_defect(self, n: int) -> float:
-        """d(n) = max_i || T^n e_i - e_i || over the head basis, for n >= 1.
-
-        The rotation fixes the head, so d(n) is exactly the p-norm profile of
-        the perturbation column; everything is evaluated in closed form per
-        level.
-        """
-        return float(self._head_defects([n])[0])
-
-    def _head_defects(self, ns: list[int]) -> np.ndarray:
-        """head_basis_defect for each of a block of times, from one coefficient block."""
-        coeffs = self._coeffs(*self._phases.residues(ns))
-        per_entry = np.abs(coeffs[:, :, None] * self._alpha)  # time, level, basis index
-        if self.p == SUP:
-            return per_entry.max(axis=(1, 2))
-        return np.max(np.sum(per_entry ** self.p, axis=1) ** (1.0 / self.p), axis=1)
 
     def center_defect_floor(self) -> float:
         """The proven lower bound 1/(K*pi) on max head-basis displacement."""
@@ -482,12 +480,9 @@ def rigidity_defect(op: PerturbedRotation, j: int, samples: Sequence[Vec]) -> Ri
     """
     if not 1 <= j <= op.levels - 1:
         raise ConstructionError(f"level {j} outside 1..{op.levels - 1}")
-    n = op.modulus.m(j)
-    rot = op.rotation_part()
-    worst = 0.0
     for x in samples:
-        op._check(x)
-        worst = max(worst, distance(rot.power(n, x).vec, x))
+        op.check(x)
+    worst = max(next(displacements(op.rotation_part(), [op.modulus.m(j)], samples)), default=0.0)
     exact = op.modulus.coupling_sum(j)
     bound = TWO_PI * op.functional_bound * float(exact)
     return RigidityDefect(j, worst, bound, exact)
@@ -576,12 +571,13 @@ def recurrence_witness(op: PerturbedRotation, vectors: Sequence[Vec],
         if d <= max(grid_tol, entry.mesh):
             chosen.append((entry, d, op.modulus.m(entry.level - 1)))
     times = [t for _, _, t in chosen]
-    dists = list(zip(*(displacements(op, times, x) for x in vectors)))
+    dists = list(displacements(op, times, vectors))
     if not any(d <= grid_tol for _, d, _ in chosen):
         raise GridResolutionError(
             f"no grid entry within {grid_tol:g} of the annihilator; "
             f"finest available mesh is {finest:g}")
-    return [WitnessPoint(e.level, e.mesh, d, t, ds) for (e, d, t), ds in zip(chosen, dists)]
+    return [WitnessPoint(e.level, e.mesh, d, t, tuple(ds))
+            for (e, d, t), ds in zip(chosen, dists)]
 
 
 @dataclass(frozen=True)
@@ -592,16 +588,16 @@ class ScanReport:
 
 
 def non_recurrence_scan(op: PerturbedRotation, candidates: Iterable[int]) -> ScanReport:
-    """Minimize the head-basis defect `op.head_basis_defect(n)` over the candidates."""
+    """Minimize the head-basis defect max_i || T^n e_i - e_i || over the candidates,
+    read from `displacements` over the stack `op.head_basis()`."""
     times = [n for n in sorted(set(int(c) for c in candidates)) if n >= 1]
     if not times:
         raise ConstructionError("no candidates to scan")
     best = math.inf
     best_n = 0
-    for block in blocks(times):
-        for n, d in zip(block, op._head_defects(block).tolist()):
-            if d < best:
-                best, best_n = d, n
+    for n, d in zip(times, map(max, displacements(op, times, op.head_basis()))):
+        if d < best:
+            best, best_n = d, n
     return ScanReport(best, best_n, len(times))
 
 

@@ -1,4 +1,4 @@
-"""Batched `powers(ns, x)` against the per-time closed forms it replaced.
+"""Batched `powers(ns, X)` against the per-time closed forms it replaced.
 
 The oracle is the scalar evaluation each operator had before the time axis
 was batched, copied here: one time per call, a Python loop over levels,
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import recurlab as rl
-from recurlab.opcore import CHUNK, _block_of
+from recurlab.opcore import CHUNK, _block_of, blocks
 
 P_KINDS = {"l1": 1.0, "l2": 2.0, "l3": 3.0, "sup": rl.SUP}
 
@@ -180,6 +180,12 @@ def assert_row_close(got, want, scale):
 # ---------------------------------------------------------------------------
 # tests
 
+def stack_of(op, seeds):
+    """The vectors `vector(op, seed)` as a list and as the (s, dim_cap) stack."""
+    xs = [vector(op, seed) for seed in seeds]
+    return xs, rl.stack(op, xs)
+
+
 @pytest.mark.parametrize("pk", P_KINDS)
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=15)
@@ -189,38 +195,89 @@ def test_powers_rows_match_scalar_oracle(kind, pk, data):
     pool = time_pool(op)
     ns = data.draw(st.lists(st.sampled_from(pool) | st.integers(0, 3000), max_size=10),
                    label="ns")
-    x = vector(op, data.draw(st.integers(0, 2 ** 16), label="seed"))
-    rows = op.powers(ns, x)
-    assert rows.shape == (len(ns), op.dim_cap)
+    seeds = data.draw(st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=3), label="seeds")
+    xs, stacked = stack_of(op, seeds)
+    rows = op.powers(ns, stacked)
+    assert rows.shape == (len(ns), len(xs), op.dim_cap)
     for n, row in zip(ns, rows):
-        want, loss = oracle(op, n, x)
-        scale = max(np.max(np.abs(want), initial=0.0), np.max(np.abs(x.coords), initial=0.0))
-        assert_row_close(row, want, scale)
-        applied = op.power(n, x)
-        assert_row_close(applied.vec.coords, want, scale)
-        assert applied.loss == loss
+        for x, got in zip(xs, row):
+            want, loss = oracle(op, n, x)
+            scale = max(np.max(np.abs(want), initial=0.0),
+                        np.max(np.abs(x.coords), initial=0.0))
+            assert_row_close(got, want, scale)
+            applied = op.power(n, x)
+            assert_row_close(applied.vec.coords, want, scale)
+            assert applied.loss == loss
+
+
+@pytest.mark.parametrize("pk", P_KINDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_stacked_rows_equal_per_sample_rows(kind, pk):
+    # the x-independent rows are built once for the stack and broadcast, and
+    # the columns no sample touches are skipped: neither may move a bit
+    op = OPS[kind, pk]
+    xs, stacked = stack_of(op, [0, 1, 2, 3, 4, 5, 6, 7])
+    stacked = np.vstack([stacked, np.zeros(op.dim_cap)])
+    ns = time_pool(op)
+    rows = op.powers(ns, stacked)
+    for i in range(len(stacked)):
+        assert np.array_equal(rows[:, i], op.powers(ns, stacked[i:i + 1])[:, 0])
 
 
 @pytest.mark.parametrize("pk", P_KINDS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_empty_block_gives_no_rows(kind, pk):
     op = OPS[kind, pk]
-    rows = op.powers([], vector(op, 3))
-    assert rows.shape == (0, op.dim_cap) and rows.dtype == np.complex128
+    rows = op.powers([], rl.stack(op, [vector(op, 3)]))
+    assert rows.shape == (0, 1, op.dim_cap) and rows.dtype == np.complex128
+    rows = op.powers([0, 5], rl.stack(op, []))
+    assert rows.shape == (2, 0, op.dim_cap)
 
 
 @pytest.mark.parametrize("pk", P_KINDS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_displacements_over_more_than_one_chunk(kind, pk):
     op = OPS[kind, pk]
-    x = vector(op, 7)
+    xs = [vector(op, seed) for seed in (7, 1, 4)]
     ns = list(range(CHUNK + 37))
-    got = list(rl.displacements(op, ns, x))
-    assert len(got) == len(ns) and all(isinstance(d, float) for d in got)
-    for n, d in zip(ns, got):
-        want = rl.Vec(oracle(op, n, x)[0] - x.coords, x.p).norm()
-        assert abs(d - want) <= 1e-12 * x.norm()
-    assert got[0] == 0.0
+    got = list(rl.displacements(op, ns, xs))
+    assert len(got) == len(ns)
+    assert all(len(ds) == len(xs) and all(isinstance(d, float) for d in ds) for ds in got)
+    for n, ds in zip(ns, got):
+        for x, d in zip(xs, ds):
+            want = rl.Vec(oracle(op, n, x)[0] - x.coords, x.p).norm()
+            assert abs(d - want) <= 1e-12 * x.norm()
+    assert got[0] == [0.0] * len(xs)
+
+
+@pytest.mark.parametrize("kind", ["perturbed-2", "rotation", "diagonal", "shift", "block-50"])
+def test_block_straddling_2_62_matches_scalar_oracle(kind):
+    op = OPS[kind, "l2"]
+    edge = 2 ** 62
+    ns = list(range(1, 30)) + [edge - 1, edge, edge + 1, 10 ** 40, 5, edge - 2]
+    assert [len(b) for b in blocks(ns)] == [30, 3, 2]
+    xs = [vector(op, seed) for seed in (0, 1, 2)]
+    rows = op.powers(ns, rl.stack(op, xs))
+    for n, row, ds in zip(ns, rows, rl.displacements(op, ns, xs)):
+        for x, got, d in zip(xs, row, ds):
+            want = oracle(op, n, x)[0]
+            scale = max(np.max(np.abs(want)), np.max(np.abs(x.coords)))
+            assert_row_close(got, want, scale)
+            assert abs(d - rl.Vec(want - x.coords, x.p).norm()) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", ["perturbed-1", "perturbed-2", "perturbed-3"])
+def test_times_every_level_divides(kind):
+    # Python-int blocks whose residues are all 0, or all 0 on one row: the
+    # coefficient rows have nothing, or only some rows, to work on
+    op = OPS[kind, "l2"]
+    top = op.modulus.m(op.levels)
+    xs = [vector(op, seed) for seed in (0, 1, 2)]
+    for ns in ([top, 2 * top], [top, top + 1]):
+        for n, row in zip(ns, op.powers(ns, rl.stack(op, xs))):
+            for x, got in zip(xs, row):
+                want = oracle(op, n, x)[0]
+                assert_row_close(got, want, max(np.max(np.abs(want)), np.max(np.abs(x.coords))))
 
 
 def test_overflow_scale_times_stay_finite_and_match():
@@ -229,22 +286,50 @@ def test_overflow_scale_times_stay_finite_and_match():
     op = rl.build_operator(1, mesh_levels=[1], min_levels=48, dim_cap=48)
     k = next(k for k in range(5, op.levels + 1) if op.modulus.m(k) > 4 * 10 ** 306)
     ns = [op.modulus.m(k) // 2 - 1, op.modulus.m(k) // 2 + 1, 5, op.modulus.m(op.levels) - 1]
-    for x in (rl.basis_vec(1, 48), rl.dyadic_comb(48)):
-        rows = op.powers(ns, x)
-        assert np.all(np.isfinite(rows.view(np.float64)))
-        for n, row in zip(ns, rows):
+    xs = [rl.basis_vec(1, 48), rl.dyadic_comb(48)]
+    rows = op.powers(ns, rl.stack(op, xs))
+    assert np.all(np.isfinite(rows.view(np.float64)))
+    for n, row in zip(ns, rows):
+        for x, got in zip(xs, row):
             want = oracle(op, n, x)[0]
-            assert_row_close(row, want, np.max(np.abs(want)))
+            assert_row_close(got, want, np.max(np.abs(want)))
 
 
 def test_head_defects_match_the_scalar_oracle(default_op):
     op = default_op
     ns = [n for n in time_pool(op) if n >= 1]
-    for n in ns:
+    alpha = np.array([e.alpha for e in op.grid.entries])
+    defects = [max(ds) for ds in rl.displacements(op, ns, op.head_basis())]
+    for n, got in zip(ns, defects):
         coeffs = np.array([old_pert_coeff(op, k, n) for k in range(op.head + 1, op.levels + 1)])
-        per_entry = np.abs(coeffs[:, None] * np.array([e.alpha for e in op.grid.entries]))
+        per_entry = np.abs(coeffs[:, None] * alpha)
         want = float(np.max(np.sum(per_entry ** 2, axis=0) ** 0.5))
-        assert abs(op.head_basis_defect(n) - want) <= 1e-12 * max(want, 1e-300)
+        assert abs(got - want) <= 1e-12 * max(want, 1e-300)
     scan = rl.non_recurrence_scan(op, ns)
     assert scan.evaluated == len(ns)
-    assert scan.min_defect == min(op.head_basis_defect(n) for n in ns)
+    assert scan.min_defect == min(defects)
+    assert scan.argmin == ns[defects.index(min(defects))]
+
+
+def chained_krylov_rank(op, x, depth, tol=1e-9):
+    """The slab [x, T x, ..., T^{depth-1} x] by repeated `apply`."""
+    rows = [x.coords]
+    for _ in range(depth - 1):
+        x = op.apply(x).vec
+        rows.append(x.coords)
+    svals = np.linalg.svd(np.array(rows), compute_uv=False)
+    if svals.size == 0 or svals[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(svals > tol * svals[0]))
+
+
+KRYLOV_OPS = ([build(f"perturbed-{f}", p) for f in (1, 2, 3) for p in (1.0, 2.0, rl.SUP)]
+              + [build("block-64", 2.0), build("shift", 2.0), build("diagonal", 2.0)])
+
+
+@pytest.mark.parametrize("op", KRYLOV_OPS, ids=lambda op: op.descriptor()["variant"])
+def test_krylov_rank_matches_chained_apply(op):
+    for seed in range(5):
+        x = vector(op, seed)
+        for depth in (1, 2, 3, 5, 8, 16, 33, 70):
+            assert rl.krylov_rank(op, x, depth) == chained_krylov_rank(op, x, depth)

@@ -3,8 +3,10 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
 
+import recurlab as rl
 from recurlab import cli, report
 from test_acceptance import CLI_RUNS
 
@@ -439,3 +441,88 @@ class TestFormatSelection:
                           "--format", "csv"], capsys)
         assert code == 0
         assert sorted(os.listdir(out_dir)) == ["family-elements.csv"]
+
+    def test_consecutive_calls_share_no_parser_state(self, tmp_path, capsys):
+        # the parser is built once per process; formats and the output
+        # directory of one call must not leak into the next
+        assert cli._build_parser() is cli._build_parser()
+        cfg = write_cfg(tmp_path, "f.json", {
+            "horizon": 20, "family": {"kind": "multiples", "p": 2}})
+        first, second, third = (str(tmp_path / d) for d in ("a", "b", "c"))
+        code, _, _ = run(["families", "--config", cfg, "--out-dir", first,
+                          "--format", "csv", "--format", "svg"], capsys)
+        assert code == 0
+        code, _, _ = run(["families", "--config", cfg, "--out-dir", second], capsys)
+        assert code == 0
+        code, _, _ = run(["families", "--config", cfg, "--out-dir", third,
+                          "--format", "svg"], capsys)
+        assert code == 0
+        assert sorted(os.listdir(first)) == ["family-density.svg", "family-elements.csv"]
+        assert sorted(os.listdir(second)) == ["family-report.json"]
+        assert sorted(os.listdir(third)) == ["family-density.svg"]
+
+
+SMALL_OP = {"foldN": 2, "dimCap": 30}
+
+
+class TestSampleValidation:
+    """Samples are checked one by one before they are stacked, so a sample of
+    the wrong size or norm is a bad config (exit 1), never an internal error."""
+
+    @pytest.mark.parametrize("command, cfg, err", [
+        ("qr-search", {"operator": SMALL_OP, "epsSchedule": [1.0],
+                       "samples": [{"kind": "entries", "values": [1] * 31}]},
+         "error: more entries than dim_cap\n"),
+        ("qr-search", {"operator": SMALL_OP, "epsSchedule": [1.0],
+                       "samples": [{"kind": "basis", "index": 1},
+                                   {"kind": "basis", "index": 31}]},
+         "error: basis index 31 outside 1..30\n"),
+        ("qr-search", {"operator": SMALL_OP, "epsSchedule": [1.0], "samples": []},
+         "error: need at least one sample vector\n"),
+        ("rigidity", {"operator": SMALL_OP,
+                      "samples": [{"kind": "entries", "values": [1] * 31}]},
+         "error: more entries than dim_cap\n"),
+        ("rigidity", {"operator": SMALL_OP,
+                      "samples": [{"kind": "basis", "index": 2},
+                                  {"kind": "entries", "values": [0]}]},
+         "error: cannot normalize the zero vector\n"),
+        ("orbit", {"operator": SMALL_OP, "eps": 0.1, "horizon": 10,
+                   "vector": {"kind": "entries", "values": [1] * 31}},
+         "error: more entries than dim_cap\n"),
+        ("orbit", {"operator": SMALL_OP, "eps": 0.1, "horizon": 10,
+                   "vector": {"kind": "basis", "index": 99}},
+         "error: basis index 99 outside 1..30\n"),
+        ("orbit", {"operator": dict(SMALL_OP, norm=0.5), "eps": 0.1, "horizon": 10,
+                   "vector": {"kind": "basis", "index": 1}},
+         "error: operator.norm: norm exponent must be >= 1\n"),
+    ])
+    def test_bad_sample_exits_one(self, tmp_path, capsys, command, cfg, err):
+        path = write_cfg(tmp_path, "s.json", cfg)
+        code, out, got = run([command, "--config", path, "--out-dir", str(tmp_path / "o")],
+                             capsys)
+        assert (code, out, got) == (1, "", err)
+
+    def test_no_rigidity_samples_is_a_zero_defect(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "s.json", {"operator": SMALL_OP, "jMax": 3, "samples": []})
+        code, out, _ = run(["rigidity", "--config", path, "--out-dir", str(tmp_path / "o")],
+                           capsys)
+        assert code == 0 and "worstDefect=0 " in out
+
+    def test_library_probes_reject_foreign_samples(self):
+        op = rl.build_operator(2, dim_cap=30)
+        cap = op.dim_cap
+        wrong_dim, wrong_norm = rl.basis_vec(1, cap + 1), rl.basis_vec(1, cap, p=1.0)
+        e1 = rl.basis_vec(1, cap)
+        for bad in (wrong_dim, wrong_norm):
+            with pytest.raises(rl.ConstructionError):
+                rl.quasi_rigidity_search(op, [e1, bad], [1.0], [1, 2])
+            with pytest.raises(rl.ConstructionError):
+                rl.rigidity_defect(op, 3, [e1, bad])
+            with pytest.raises(rl.ConstructionError):
+                list(rl.displacements(op, [1], [e1, bad]))
+            with pytest.raises(rl.OpcoreError):
+                list(rl.displacements(op.rotation_part(), [1], [e1, bad]))
+        with pytest.raises(rl.ConstructionError):
+            op.powers([1], np.zeros((2, cap + 1)))
+        with pytest.raises(rl.OpcoreError):
+            rl.WeightedBackwardShift(0.5, 4).powers([1], np.zeros(4))

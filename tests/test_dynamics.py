@@ -81,30 +81,23 @@ class TestSubsampleReturnSet:
             rl.subsample_return_set(default_op, e4, 0.1, [5, 10], horizon=7)
 
 
-class TestTupleRecurrenceProbe:
+class TestQuasiRigiditySearch:
     def test_pair_returns_at_the_second_deep_modulus(self, default_op):
         cap = default_op.dim_cap
         pair = (rl.basis_vec(1, cap), rl.basis_vec(2, cap))
         cands = pr.lattice_candidates(default_op.modulus, 8, multipliers=(1,),
                                       neighbors=False)
-        t = rl.tuple_recurrence_probe(default_op, pair, 0.1, cands)
-        assert t == default_op.modulus.m(5)
+        res = rl.quasi_rigidity_search(default_op, pair, [0.1], cands)
+        assert res.found and res.times == (default_op.modulus.m(5),)
 
     def test_full_head_basis_never_passes(self, default_op):
         cap = default_op.dim_cap
         triple = tuple(rl.basis_vec(i, cap) for i in range(1, 4))
         cands = pr.lattice_candidates(default_op.modulus, 8, multipliers=(1, 2),
                                       neighbors=True, head=64)
-        assert rl.tuple_recurrence_probe(default_op, triple, 0.3, cands) is None
+        res = rl.quasi_rigidity_search(default_op, triple, [0.3], cands)
+        assert not res.found and res.certified
 
-    def test_validation_and_degenerate_candidates(self, default_op):
-        e1 = rl.basis_vec(1, default_op.dim_cap)
-        with pytest.raises(dyn.DynamicsError):
-            rl.tuple_recurrence_probe(default_op, [e1], 0.0, [1])
-        assert rl.tuple_recurrence_probe(default_op, [e1], 0.5, [0]) is None
-
-
-class TestQuasiRigiditySearch:
     def test_rotation_part_climbs_the_modulus_ladder(self, default_op):
         rot = default_op.rotation_part()
         cap = default_op.dim_cap
