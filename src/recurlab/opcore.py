@@ -230,7 +230,7 @@ def distance(x: Vec, y: Vec) -> float:
 
 
 def row_norms(rows: np.ndarray, p: float) -> np.ndarray:
-    """`Vec.norm` of every row (last axis) of a coordinate array."""
+    """The p-norm of every row (last axis) of a coordinate array."""
     if rows.shape[-1] == 0:
         return np.zeros(rows.shape[:-1])
     return np.linalg.norm(rows, ord=p, axis=-1)
