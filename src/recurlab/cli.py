@@ -210,7 +210,7 @@ def operator_from(cfg: Cfg) -> pr.PerturbedRotation:
             raise ConfigError(f"{cfg._at('targets')}[{i}] must be an array")
         targets.append(tuple(_parse_complex(c, f"{cfg._at('targets')}[{i}][{j}]")
                              for j, c in enumerate(t)))
-    dim_cap = cfg.get_int("dimCap", None, minimum=1) if cfg.has("dimCap") else None
+    dim_cap = cfg.get_int("dimCap", None, minimum=1)
     p = _parse_norm(cfg.raw("norm", 2), cfg._at("norm"))
     rule = cfg.get_str("rule", "dyadic-sq")
     min_levels = cfg.get_int("minLevels", 0, minimum=0)

@@ -29,31 +29,19 @@ class DynamicsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ReturnSpec:
-    """Radius and horizon of one return-set computation."""
-
-    eps: float
-    horizon: int
-
-    def __post_init__(self) -> None:
-        if not self.eps > 0:
-            raise DynamicsError("eps must be positive")
-        if self.horizon < 0:
-            raise DynamicsError("horizon must be a natural number")
-
-
-def _returns(times: Sequence[int], displacements: Sequence[float], spec: ReturnSpec) -> NatSet:
-    """The times whose displacement is strictly below spec.eps."""
-    return NatSet(tuple(n for n, d in zip(times, displacements) if d < spec.eps), spec.horizon)
+def _check_return(eps: float, horizon: int) -> None:
+    """Reject a return radius that is not positive and a negative horizon."""
+    if not eps > 0:
+        raise DynamicsError("eps must be positive")
+    if horizon < 0:
+        raise DynamicsError("horizon must be a natural number")
 
 
 def orbit_returns(op, x: Vec, eps: float, horizon: int) -> tuple[NatSet, list[float]]:
     """The return set up to the horizon and || T^n x - x || for every n in 0..horizon."""
-    spec = ReturnSpec(eps, horizon)
-    times = range(spec.horizon + 1)
-    ds = [d for d, in displacements(op, times, [x])]
-    return _returns(times, ds, spec), ds
+    _check_return(eps, horizon)
+    ds = [d for d, in displacements(op, range(horizon + 1), [x])]
+    return NatSet(tuple(n for n, d in enumerate(ds) if d < eps), horizon), ds
 
 
 def return_set(op, x: Vec, eps: float, horizon: int) -> NatSet:
@@ -62,21 +50,6 @@ def return_set(op, x: Vec, eps: float, horizon: int) -> NatSet:
     n = 0 is always a member since the displacement there is exactly zero.
     """
     return orbit_returns(op, x, eps, horizon)[0]
-
-
-def subsample_return_set(op, x: Vec, eps: float, candidates: Iterable[int],
-                         horizon: Optional[int] = None) -> NatSet:
-    """Return-set membership evaluated only at the candidate times."""
-    cand = sorted(set(int(n) for n in candidates))
-    if any(n < 0 for n in cand):
-        raise DynamicsError("candidate times must be natural numbers")
-    if not cand:
-        raise DynamicsError("no candidate times given")
-    hor = max(cand) if horizon is None else horizon
-    if hor < cand[-1]:
-        raise DynamicsError("horizon below largest candidate")
-    spec = ReturnSpec(eps, hor)
-    return _returns(cand, [d for d, in displacements(op, cand, [x])], spec)
 
 
 # ---------------------------------------------------------------------------
@@ -286,22 +259,22 @@ def commutant_return_inclusion(op, coeffs: Sequence[complex], x: Vec,
     horizon and reports the first violation if the arithmetic ever
     disagrees with the algebra.
     """
-    spec = ReturnSpec(eps, horizon)
+    _check_return(eps, horizon)
     base = op.norm_bound()
     scale = sum(abs(complex(c)) * base ** j for j, c in enumerate(coeffs))
     if scale <= 0:
         raise DynamicsError("polynomial norm bound vanished")
     sx, loss = polynomial_apply(op, coeffs, x)
-    tight = spec.eps / scale
+    tight = eps / scale
     first = None
     count = 0
-    times = range(spec.horizon + 1)
+    times = range(horizon + 1)
     # the tight return times, read twice: to list them and to move S x by them
     returns, again = itertools.tee(n for n, (d,) in zip(times, displacements(op, times, [x]))
                                    if d < tight)
     for n, (d,) in zip(returns, displacements(op, again, [sx])):
         count += 1
-        if not d < spec.eps:
+        if not d < eps:
             first = n
             break
-    return InclusionReport(first is None, first, spec.horizon + 1, scale, count, loss)
+    return InclusionReport(first is None, first, horizon + 1, scale, count, loss)

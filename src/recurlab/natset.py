@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, groupby
 from operator import sub
@@ -81,16 +81,6 @@ class NatSet:
 
     def to_json_dict(self) -> dict:
         return {"elements": list(self.elements), "horizon": self.horizon}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "NatSet":
-        return NatSet(tuple(int(e) for e in d["elements"]), int(d["horizon"]))
-
-
-def intersects(a: NatSet, b: NatSet) -> bool:
-    """True iff the two sets share an element (horizon-bounded evidence)."""
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    return any(e in large for e in small.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +264,7 @@ class IntersectionOf:
 # density reports
 
 
+@dataclass(eq=False)
 class DensityReport:
     """Exact finite-horizon density and structure statistics for one set.
 
@@ -289,20 +280,19 @@ class DensityReport:
     lazily on first access and cached.
     """
 
-    def __init__(self, source: NatSet, window: int,
-                 upper_banach: Fraction, lower_banach: Fraction,
-                 upper_density: Fraction, lower_density: Fraction,
-                 syndetic_gap: Optional[int], max_run: int) -> None:
-        self.horizon = source.horizon
-        self.window = window
-        self.upper_banach = upper_banach
-        self.lower_banach = lower_banach
-        self.upper_density = upper_density
-        self.lower_density = lower_density
-        self.syndetic_gap = syndetic_gap
-        self.max_run = max_run
-        self._source = source
-        self._max_ap: Optional[int] = None
+    source: NatSet
+    window: int
+    upper_banach: Fraction
+    lower_banach: Fraction
+    upper_density: Fraction
+    lower_density: Fraction
+    syndetic_gap: Optional[int]
+    max_run: int
+    _max_ap: Optional[int] = field(default=None, init=False, repr=False)
+
+    @property
+    def horizon(self) -> int:
+        return self.source.horizon
 
     @property
     def contains_consecutive_pair(self) -> bool:
@@ -311,7 +301,7 @@ class DensityReport:
     @property
     def max_ap_length(self) -> int:
         if self._max_ap is None:
-            self._max_ap = _longest_progression(self._source.elements)
+            self._max_ap = _longest_progression(self.source.elements)
         return self._max_ap
 
     def to_json_dict(self) -> dict:
@@ -443,29 +433,6 @@ def density_profile(a: NatSet, window: int) -> DensityReport:
 # structure queries
 
 
-def find_ap(a: NatSet, length: int) -> Optional[tuple[int, int]]:
-    """Search for an arithmetic progression of `length` terms inside `a`.
-
-    Returns the lexicographically least witness (start, diff) or None.
-    Exhaustive over starts in the set and diffs d = b - start to the later
-    elements b, in increasing order, while the last term fits under the
-    largest element.
-    """
-    if length < 2:
-        raise NatSetError("progression length must be >= 2")
-    els = a.elements
-    members = set(els)
-    span = length - 1
-    for i, start in enumerate(els):
-        for j in range(i + 1, len(els)):
-            d = els[j] - start
-            if start + span * d > els[-1]:
-                break
-            if all(start + k * d in members for k in range(2, length)):
-                return (start, d)
-    return None
-
-
 def window_pair_witness(a: NatSet, n: int) -> Optional[int]:
     """Least start s with at least two elements of `a` in (s, s+n]."""
     if n < 1:
@@ -480,30 +447,3 @@ def window_pair_witness(a: NatSet, n: int) -> Optional[int]:
         if s_min <= min(lo - 1, a.horizon - n):
             return s_min
     return None
-
-
-@dataclass(frozen=True)
-class CofinitenessReport:
-    """Verdict of a head-cutoff surrogate for 'b contains a eventually'."""
-
-    holds: bool
-    cutoff: int
-    first_violation: Optional[int]
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def cofinite_within(b: NatSet, a: NatSet, cutoff: Optional[int] = None) -> CofinitenessReport:
-    """Check that every element of `a` beyond the cutoff lies in `b`.
-
-    The default cutoff is horizon // 2.  This is finite evidence for the
-    filter statement 'b is in the cofinite filter generated by a', nothing
-    stronger.
-    """
-    if cutoff is None:
-        cutoff = a.horizon // 2
-    for e in a.elements:
-        if e > cutoff and e not in b:
-            return CofinitenessReport(False, cutoff, e)
-    return CofinitenessReport(True, cutoff, None)

@@ -44,8 +44,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .natset import NatSet
-
 SUP = math.inf
 
 PhaseOrValue = Union[complex, Fraction]
@@ -163,30 +161,9 @@ class Vec:
         return len(self.coords)
 
     def norm(self) -> float:
-        if self.p == SUP:
-            return float(np.max(np.abs(self.coords))) if len(self.coords) else 0.0
-        return float(np.linalg.norm(self.coords, ord=self.p))
-
-    def coord(self, k: int) -> complex:
-        """1-based coordinate read."""
-        if not 1 <= k <= self.dim_cap:
-            raise OpcoreError(f"coordinate {k} outside 1..{self.dim_cap}")
-        return complex(self.coords[k - 1])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dimCap": self.dim_cap,
-            "normKind": norm_kind(self.p),
-            "coords": [[float(c.real), float(c.imag)] for c in self.coords],
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "Vec":
-        p = SUP if d["normKind"] == "sup" else float(d["normKind"])
-        coords = np.array([complex(re, im) for re, im in d["coords"]], dtype=np.complex128)
-        if len(coords) != d["dimCap"]:
-            raise OpcoreError("coordinate count disagrees with dimCap")
-        return Vec(coords, p)
+        # a one-row stack, as `displacements` reads it: numpy raises a 0-d sum
+        # to 1/p along another path than an array, which moves the last bit
+        return float(row_norms(self.coords[None], self.p)[0])
 
 
 def zero_vec(dim_cap: int, p: float = 2.0) -> Vec:
@@ -469,23 +446,11 @@ def krylov_rank(op, x: Vec, depth: int, tol: float = 1e-9) -> int:
     """
     if depth < 1:
         raise OpcoreError("depth must be >= 1")
+    xs = stack(op, [x])
     rows = np.empty((depth, x.dim_cap), dtype=np.complex128)
     for block in blocks(range(depth)):
-        rows[block[0]: block[-1] + 1] = op.powers(block, stack(op, [x]))[:, 0]
+        rows[block[0]: block[-1] + 1] = op.powers(block, xs)[:, 0]
     svals = np.linalg.svd(rows, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
     return int(np.count_nonzero(svals > tol * svals[0]))
-
-
-def unimodular_eigen_indices(op, tol: float = 1e-9) -> NatSet:
-    """1-based diagonal positions whose entry has modulus within tol of 1."""
-    if not isinstance(op, Diagonal):
-        raise OpcoreError("unimodular index scan supports diagonal operators only")
-    idx = []
-    for i, e in enumerate(op.entries, start=1):
-        if isinstance(e, Fraction):
-            idx.append(i)  # exact unit phase
-        elif abs(abs(complex(e)) - 1.0) <= tol:
-            idx.append(i)
-    return NatSet(tuple(idx), op.dim_cap)

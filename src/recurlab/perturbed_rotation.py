@@ -148,22 +148,13 @@ class FunctionalGrid:
     Entries come in groups of decreasing mesh.  Each group holds the
     coordinate functionals plus the polar quantizations of any registered
     target functionals at that group's resolution, so the grid is guaranteed
-    dense along the directions a probe actually visits.  mesh_of reports the
-    group resolution, which is the quantization radius the net guarantees.
+    dense along the directions a probe actually visits.  Each entry's mesh is
+    its group resolution, the quantization radius the net guarantees.
     """
 
     fold_n: int
     entries: tuple[GridEntry, ...]
     p: float = 2.0
-
-    def mesh_of(self, level: int) -> float:
-        return self.entry_at(level).mesh
-
-    def entry_at(self, level: int) -> GridEntry:
-        i = level - (self.fold_n + 2)
-        if not 0 <= i < len(self.entries):
-            raise ConstructionError(f"no grid entry at level {level}")
-        return self.entries[i]
 
     @property
     def finest_mesh(self) -> float:
@@ -486,20 +477,6 @@ def rigidity_defect(op: PerturbedRotation, j: int, samples: Sequence[Vec]) -> Ri
     exact = op.modulus.coupling_sum(j)
     bound = TWO_PI * op.functional_bound * float(exact)
     return RigidityDefect(j, worst, bound, exact)
-
-
-def dominant_index(w: Sequence[complex]) -> int:
-    """Least 1-based index whose coefficient attains the unit sup modulus."""
-    mods = [abs(complex(c)) for c in w]
-    top = max(mods) if mods else 0.0
-    if top == 0.0:
-        raise ConstructionError("all coefficients are zero")
-    if abs(top - 1.0) > 1e-12:
-        raise ConstructionError("coefficients must be sup-normalized to 1")
-    for i, r in enumerate(mods):
-        if r >= top - 1e-12:
-            return i + 1
-    raise AssertionError("unreachable")
 
 
 def annihilating_functional(vectors: Sequence[Vec], fold_n: int) -> np.ndarray:

@@ -5,6 +5,7 @@ One test per claim, each ending in a single PASS/FAIL summary line, so a
 part of the claims and asserted literally; nothing here is statistical.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -433,3 +434,44 @@ def test_criterion_11_cli_reruns_byte_identical(tmp_path):
             "all seven experiment commands rerun byte-identical "
             "across json/csv/svg", dt)
     assert not bad, "\n".join(bad)
+
+
+# sha256 of each CLI_RUNS json record with every float replaced by null, in
+# canonical json: pins moduli, Fractions, sets, times, ranks and descriptor
+# hashes across refactors without depending on float bits
+PINNED_RECORDS = {
+    "families": "683e37ef62652bdae75ce1f2c4816da2429bdaf1229635b814ec08bc39fac504",
+    "construct": "ae5c53d5e37f80315cd9ad5988dbf57300c4c81d420b89c1d06248c769edfe3e",
+    "rigidity": "11b9fafed11e6ce13f3543ca0063f92f1fea14244083e58dde9c443463089adf",
+    "orbit": "a7ec44dabfcfffefd6433061544a9bc1c2068e115ec1b2f53e29ab756d94a065",
+    "qr-search": "b4960c4a9f0c7d7ba51210fb7900f752d507f2c6a6a89dd6db89ac37732ce28c",
+    "period": "01c66fe4322360651732c81400ab8137fa86a3647ba7d45347d64ab7c324b6cc",
+    "krylov": "2f72124792bb00c65b28e1a3826e38d0cc8a736b766805f9a95a4e57e5b8d850",
+}
+
+
+def _floats_to_null(v):
+    if isinstance(v, float):
+        return None
+    if isinstance(v, dict):
+        return {k: _floats_to_null(u) for k, u in v.items()}
+    if isinstance(v, list):
+        return [_floats_to_null(u) for u in v]
+    return v
+
+
+def test_criterion_11_exact_fields_match_pinned_digests(tmp_path):
+    t0 = time.perf_counter()
+    got = {}
+    for name, cfg in CLI_RUNS:
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / name
+        assert cli.main([name, "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+        (record,) = [json.loads(f.read_text()) for f in out_dir.iterdir()]
+        canon = json.dumps(_floats_to_null(record), sort_keys=True, separators=(",", ":"))
+        got[name] = hashlib.sha256(canon.encode()).hexdigest()
+    dt = time.perf_counter() - t0
+    _report(11, "PASS" if got == PINNED_RECORDS else "FAIL",
+            "every exact record field matches its pinned digest", dt)
+    assert got == PINNED_RECORDS

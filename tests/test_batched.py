@@ -250,6 +250,20 @@ def test_displacements_over_more_than_one_chunk(kind, pk):
     assert got[0] == [0.0] * len(xs)
 
 
+@pytest.mark.parametrize("pk", P_KINDS)
+@pytest.mark.parametrize("kind", ["perturbed-2", "diagonal"])
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2 ** 16), ns=st.lists(st.integers(0, 3000), min_size=1, max_size=5))
+def test_distance_equals_evaluator_bit_for_bit(kind, pk, seed, ns):
+    # Vec.norm, and so distance, takes the evaluator's row norms: a dense
+    # vector gets one float for its displacement, whichever path reads it
+    op = OPS[kind, pk]
+    rs = np.random.RandomState(seed)
+    x = rl.Vec(rs.standard_normal(op.dim_cap) + 1j * rs.standard_normal(op.dim_cap), op.p)
+    for n, (d,) in zip(ns, rl.displacements(op, ns, [x])):
+        assert rl.distance(op.power(n, x).vec, x) == d
+
+
 @pytest.mark.parametrize("kind", ["perturbed-2", "rotation", "diagonal", "shift", "block-50"])
 def test_block_straddling_2_62_matches_scalar_oracle(kind):
     op = OPS[kind, "l2"]

@@ -56,31 +56,6 @@ class TestReturnSet:
             rl.return_set(default_op, e4, 0.1, -1)
 
 
-class TestSubsampleReturnSet:
-    def test_agrees_with_full_scan_on_candidates(self, default_op):
-        e4 = rl.basis_vec(4, default_op.dim_cap)
-        full = rl.return_set(default_op, e4, 0.1, 600)
-        sub = rl.subsample_return_set(default_op, e4, 0.1, range(0, 601, 7),
-                                      horizon=600)
-        assert sub.elements == tuple(n for n in full.elements if n % 7 == 0)
-        assert sub.horizon == 600
-
-    def test_default_horizon_is_largest_candidate(self, default_op):
-        e4 = rl.basis_vec(4, default_op.dim_cap)
-        sub = rl.subsample_return_set(default_op, e4, 0.1, [288, 0, 576])
-        assert sub.horizon == 576
-        assert sub.elements == (0, 288, 576)
-
-    def test_validation(self, default_op):
-        e4 = rl.basis_vec(4, default_op.dim_cap)
-        with pytest.raises(dyn.DynamicsError):
-            rl.subsample_return_set(default_op, e4, 0.1, [])
-        with pytest.raises(dyn.DynamicsError):
-            rl.subsample_return_set(default_op, e4, 0.1, [-3, 5])
-        with pytest.raises(dyn.DynamicsError):
-            rl.subsample_return_set(default_op, e4, 0.1, [5, 10], horizon=7)
-
-
 class TestQuasiRigiditySearch:
     def test_pair_returns_at_the_second_deep_modulus(self, default_op):
         cap = default_op.dim_cap

@@ -29,14 +29,6 @@ class TestVec:
         assert rl.vec_of([3, 4], dim_cap=4, p=1.0).norm() == 7.0
         assert rl.vec_of([3, -4], dim_cap=4, p=SUP).norm() == 4.0
 
-    def test_coord_is_one_based(self):
-        x = rl.vec_of([1, 2, 3], dim_cap=5)
-        assert x.coord(2) == 2
-        with pytest.raises(rl.OpcoreError):
-            x.coord(0)
-        with pytest.raises(rl.OpcoreError):
-            x.coord(6)
-
     def test_basis_and_zero(self):
         e = rl.basis_vec(3, 5)
         assert list(e.coords) == [0, 0, 1, 0, 0]
@@ -67,9 +59,8 @@ class TestVec:
         assert both.norm() <= xa.norm() + xb.norm() + 1e-9
 
     def test_sup_norm_kind_in_json(self):
-        d = rl.vec_of([1], p=SUP).to_json_dict()
-        assert d["normKind"] == "sup"
-        assert rl.vec_of([1], p=2.0).to_json_dict()["normKind"] == 2.0
+        assert rl.diagonal_rotation([], 1, p=SUP).descriptor()["normKind"] == "sup"
+        assert rl.diagonal_rotation([], 1, p=2.0).descriptor()["normKind"] == 2.0
 
 
 def unit_phase(num, den, n=1):
@@ -154,16 +145,6 @@ class TestDiagonal:
         op = rl.Diagonal((Fraction(1, 2),), 2.0)
         assert op.apply(rl.basis_vec(1, 1)).loss == 0.0
 
-    def test_unimodular_indices(self):
-        op = rl.Diagonal((Fraction(0), 0.5, Fraction(1, 3), -1 + 0j, 0.2j), 2.0)
-        got = rl.unimodular_eigen_indices(op)
-        assert got.elements == (1, 3, 4)
-        assert got.horizon == 5
-
-    def test_unimodular_needs_diagonal(self):
-        shift = rl.WeightedBackwardShift(0.5, 4, 2.0)
-        with pytest.raises(rl.OpcoreError):
-            rl.unimodular_eigen_indices(shift)
 
 
 class TestWeightedBackwardShift:

@@ -116,7 +116,7 @@ class TestFunctionalGrid:
         assert len(grid.entries) == per_group * len(pr.DEFAULT_MESH)
         assert grid.entries[0].level == 4
         assert grid.entries[0].alpha == (1 + 0j, 0j, 0j)
-        assert grid.mesh_of(6) == 1.0
+        assert grid.entries[2].level == 6 and grid.entries[2].mesh == 1.0
         assert grid.finest_mesh == float(pr.DEFAULT_MESH[-1])
 
     def test_meshes_weakly_decrease_along_levels(self):
@@ -405,18 +405,6 @@ class TestAnnihilator:
     def test_wrong_tuple_length(self):
         with pytest.raises(pr.ConstructionError):
             pr.annihilating_functional([rl.basis_vec(1, 4)], 2)
-
-
-class TestDominantIndex:
-    def test_least_index_wins_ties(self):
-        assert pr.dominant_index([0.3, 1.0, -1.0j]) == 2
-        assert pr.dominant_index([1j, 1.0]) == 1
-
-    def test_requires_normalization(self):
-        with pytest.raises(pr.ConstructionError):
-            pr.dominant_index([0.5, 0.2])
-        with pytest.raises(pr.ConstructionError):
-            pr.dominant_index([0, 0])
 
 
 class TestRecurrenceWitness:
