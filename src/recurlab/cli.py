@@ -2,10 +2,13 @@
 
 Seven subcommands share one pattern: read a JSON config, run the
 computation, print a one-line summary, and drop deterministic report files
-into --out-dir in the formats requested.  Values in the config file take
-precedence over command-line override flags; flags fill gaps the config
-leaves open.  Unknown config keys are rejected with the full field path so
-typos fail loudly instead of silently running defaults.
+into --out-dir in the formats requested.  The config file is the only
+input: no flag sets a config value, and each record's `config` echoes the
+file as read.  An omitted optional key takes its documented default (the
+window is a tenth of the horizon, at least 1; jMax is levels - 1).  Every
+value is checked by `Cfg.get` or `Cfg.items`, and unknown keys are rejected
+with the full field path, so typos fail loudly instead of silently running
+defaults.
 
 Exit codes: 0 success (including honest "not found" outcomes), 1 bad usage
 or bad config (non-finite numbers included), 2 internal error.
@@ -31,18 +34,22 @@ class ConfigError(Exception):
     pass
 
 
-def _require_int(value, name: str, minimum: Optional[int] = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name!r} must be an integer")
+_KINDS = {int: "an integer", float: "a number", str: "a string",
+          bool: "true or false", list: "an array"}
+
+
+def _typed(value, where: str, kind: type, minimum=None):
+    """`value` as `kind`, or a ConfigError naming `where`.
+
+    A float kind accepts ints and returns a float; true and false pass only
+    as the bool kind, never as numbers.
+    """
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{where!r} must be {_KINDS[kind]}")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{name!r} must be >= {minimum}")
-    return value
-
-
-def _require_num(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name!r} must be a number")
-    return float(value)
+        raise ConfigError(f"{where!r} must be >= {minimum}")
+    return float(value) if kind is float else value
 
 
 def _finite(literal: str) -> float:
@@ -54,7 +61,11 @@ def _finite(literal: str) -> float:
 
 
 class Cfg:
-    """A config object with path-aware diagnostics and unknown-key rejection."""
+    """A config object with path-aware diagnostics and unknown-key rejection.
+
+    `get` and `items` check the values present in the file; an absent key
+    gives its default, or is an error when there is none.
+    """
 
     def __init__(self, data, path: str = "") -> None:
         if not isinstance(data, dict):
@@ -84,48 +95,25 @@ class Cfg:
             raise ConfigError(f"missing required config key {self._at(key)!r}")
         return default
 
+    def get(self, key: str, kind: type, default=_MISSING, minimum=None):
+        """The value at `key` checked as `kind`: int, float, str, bool or list."""
+        if key not in self.data:
+            return self.raw(key, default)
+        return _typed(self.data[key], self._at(key), kind, minimum)
+
+    def items(self, key: str, kind: type, default=_MISSING, minimum=None) -> list:
+        """The array at `key`, each entry checked as `kind` under its own path."""
+        where = self._at(key)
+        return [_typed(v, f"{where}[{i}]", kind, minimum)
+                for i, v in enumerate(self.get(key, list, default))]
+
     def sub(self, key: str) -> "Cfg":
         return Cfg(self.raw(key), self._at(key))
 
-    def opt_sub(self, key: str) -> Optional["Cfg"]:
-        return self.sub(key) if key in self.data else None
-
-    # Typed getters validate only values actually present in the file; an
-    # absent key returns the default untouched.
-
-    def get_int(self, key: str, default=_MISSING, minimum: Optional[int] = None) -> int:
-        if key not in self.data:
-            return self.raw(key, default)
-        return _require_int(self.data[key], self._at(key), minimum)
-
-    def get_num(self, key: str, default=_MISSING) -> float:
-        if key not in self.data:
-            return self.raw(key, default)
-        return _require_num(self.data[key], self._at(key))
-
-    def get_str(self, key: str, default=_MISSING) -> str:
-        if key not in self.data:
-            return self.raw(key, default)
-        v = self.data[key]
-        if not isinstance(v, str):
-            raise ConfigError(f"{self._at(key)!r} must be a string")
-        return v
-
-    def get_bool(self, key: str, default=_MISSING) -> bool:
-        if key not in self.data:
-            return self.raw(key, default)
-        v = self.data[key]
-        if not isinstance(v, bool):
-            raise ConfigError(f"{self._at(key)!r} must be true or false")
-        return v
-
-    def get_list(self, key: str, default=_MISSING) -> list:
-        if key not in self.data:
-            return self.raw(key, default)
-        v = self.data[key]
-        if not isinstance(v, list):
-            raise ConfigError(f"{self._at(key)!r} must be an array")
-        return v
+    def subs(self, key: str) -> list["Cfg"]:
+        """The array of objects at `key`, each a Cfg under its own path."""
+        where = self._at(key)
+        return [Cfg(v, f"{where}[{i}]") for i, v in enumerate(self.get(key, list))]
 
 
 def _parse_complex(v, where: str) -> complex:
@@ -157,36 +145,29 @@ def family_set(cfg: Cfg, horizon: int) -> natset.NatSet:
 
 
 def _family_generator(cfg: Cfg, horizon: int):
-    kind = cfg.get_str("kind")
+    kind = cfg.get("kind", str)
     if kind == "explicit":
         cfg.allow("kind", "members")
-        members = cfg.get_list("members")
-        if not all(isinstance(m, int) and not isinstance(m, bool) for m in members):
-            raise ConfigError(f"{cfg._at('members')!r} must hold integers")
-        return natset.Explicit(tuple(members))
+        return natset.Explicit(tuple(cfg.items("members", int)))
     if kind == "progression":
         cfg.allow("kind", "start", "diff")
-        return natset.ArithmeticProgression(cfg.get_int("start", minimum=0),
-                                            cfg.get_int("diff", minimum=1))
+        return natset.ArithmeticProgression(cfg.get("start", int, minimum=0),
+                                            cfg.get("diff", int, minimum=1))
     if kind == "multiples":
         cfg.allow("kind", "p")
-        return natset.Multiples(cfg.get_int("p", minimum=1))
+        return natset.Multiples(cfg.get("p", int, minimum=1))
     if kind == "ip":
         cfg.allow("kind", "generators")
-        gens = cfg.get_list("generators")
-        if not all(isinstance(g, int) and not isinstance(g, bool) for g in gens):
-            raise ConfigError(f"{cfg._at('generators')!r} must hold integers")
-        return natset.IpClosure(tuple(gens))
+        return natset.IpClosure(tuple(cfg.items("generators", int)))
     if kind == "rotation-return":
         cfg.allow("kind", "modulus", "eps")
-        return natset.RotationReturn(cfg.get_int("modulus", minimum=1), cfg.get_num("eps"))
+        return natset.RotationReturn(cfg.get("modulus", int, minimum=1), cfg.get("eps", float))
     if kind == "delta":
         cfg.allow("kind", "base")
         return natset.DeltaOf(family_set(cfg.sub("base"), horizon))
     if kind in ("union", "intersection"):
         cfg.allow("kind", "parts")
-        parts = tuple(_family_generator(Cfg(p, f"{cfg._at('parts')}[{i}]"), horizon)
-                      for i, p in enumerate(cfg.get_list("parts")))
+        parts = tuple(_family_generator(p, horizon) for p in cfg.subs("parts"))
         if not parts:
             raise ConfigError(f"{cfg._at('parts')!r} must not be empty")
         return natset.UnionOf(parts) if kind == "union" else natset.IntersectionOf(parts)
@@ -195,8 +176,8 @@ def _family_generator(cfg: Cfg, horizon: int):
 
 def operator_from(cfg: Cfg) -> pr.PerturbedRotation:
     cfg.allow("foldN", "mesh", "targets", "dimCap", "norm", "rule", "minLevels")
-    fold_n = cfg.get_int("foldN", minimum=1)
-    mesh = cfg.get_list("mesh", None)
+    fold_n = cfg.get("foldN", int, minimum=1)
+    mesh = cfg.get("mesh", list, None)
     if mesh is None:
         mesh_vals = pr.DEFAULT_MESH
     else:
@@ -205,15 +186,15 @@ def operator_from(cfg: Cfg) -> pr.PerturbedRotation:
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"{cfg._at('mesh')!r}: {exc}") from None
     targets = []
-    for i, t in enumerate(cfg.get_list("targets", [])):
+    for i, t in enumerate(cfg.get("targets", list, [])):
         if not isinstance(t, list):
             raise ConfigError(f"{cfg._at('targets')}[{i}] must be an array")
         targets.append(tuple(_parse_complex(c, f"{cfg._at('targets')}[{i}][{j}]")
                              for j, c in enumerate(t)))
-    dim_cap = cfg.get_int("dimCap", None, minimum=1)
+    dim_cap = cfg.get("dimCap", int, None, minimum=1)
     p = _parse_norm(cfg.raw("norm", 2), cfg._at("norm"))
-    rule = cfg.get_str("rule", "dyadic-sq")
-    min_levels = cfg.get_int("minLevels", 0, minimum=0)
+    rule = cfg.get("rule", str, "dyadic-sq")
+    min_levels = cfg.get("minLevels", int, 0, minimum=0)
     try:
         return pr.build_operator(fold_n, mesh_vals, targets, dim_cap, p, rule, min_levels)
     except pr.ConstructionError as exc:
@@ -221,17 +202,17 @@ def operator_from(cfg: Cfg) -> pr.PerturbedRotation:
 
 
 def vector_from(cfg: Cfg, op: pr.PerturbedRotation) -> opcore.Vec:
-    kind = cfg.get_str("kind")
+    kind = cfg.get("kind", str)
     if kind == "basis":
         cfg.allow("kind", "index")
-        return opcore.basis_vec(cfg.get_int("index", minimum=1), op.dim_cap, op.p)
+        return opcore.basis_vec(cfg.get("index", int, minimum=1), op.dim_cap, op.p)
     if kind == "dyadic-comb":
         cfg.allow("kind")
         return opcore.dyadic_comb(op.dim_cap, op.p)
     if kind == "entries":
         cfg.allow("kind", "values")
         vals = [_parse_complex(v, f"{cfg._at('values')}[{i}]")
-                for i, v in enumerate(cfg.get_list("values"))]
+                for i, v in enumerate(cfg.get("values", list))]
         return opcore.vec_of(vals, op.dim_cap, op.p)
     raise ConfigError(f"{cfg._at('kind')!r}: unknown vector kind {kind!r}")
 
@@ -279,32 +260,19 @@ class Sink:
         self._write("svg", name, report.write_svg, text)
 
 
-def _pick(cfg: Cfg, key: str, flag_value, default=_MISSING):
-    """Config beats flag; flag beats default; missing everywhere is an error."""
-    if cfg.has(key):
-        return cfg.raw(key)
-    if flag_value is not None:
-        return flag_value
-    if default is _MISSING:
-        raise ConfigError(f"missing required config key {key!r} "
-                          f"(no command-line fallback given)")
-    return default
-
-
-def _horizon_window(cfg: Cfg, args) -> tuple[int, int]:
+def _horizon_window(cfg: Cfg) -> tuple[int, int]:
     """Horizon, and the density window that defaults to a tenth of it."""
-    horizon = _require_int(_pick(cfg, "horizon", args.horizon), "horizon", 0)
-    window = _require_int(_pick(cfg, "window", args.window, max(1, horizon // 10)),
-                          "window", 1)
-    return horizon, window
+    horizon = cfg.get("horizon", int, minimum=0)
+    return horizon, cfg.get("window", int, max(1, horizon // 10), minimum=1)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_families(cfg: Cfg, args, sink: Sink) -> int:
+def cmd_families(cfg: Cfg, sink: Sink) -> int:
+    """materialize a set family and profile it"""
     cfg.allow("family", "horizon", "window")
-    horizon, window = _horizon_window(cfg, args)
+    horizon, window = _horizon_window(cfg)
     a = family_set(cfg.sub("family"), horizon)
     prof = natset.density_profile(a, window)
     payload = {"set": a.to_json_dict(), "density": prof.to_json_dict()}
@@ -323,7 +291,8 @@ def cmd_families(cfg: Cfg, args, sink: Sink) -> int:
     return 0
 
 
-def cmd_construct(cfg: Cfg, args, sink: Sink) -> int:
+def cmd_construct(cfg: Cfg, sink: Sink) -> int:
+    """build the operator and dump its anatomy"""
     cfg.allow("operator")
     op = operator_from(cfg.sub("operator"))
     desc = op.descriptor()
@@ -348,15 +317,15 @@ def cmd_construct(cfg: Cfg, args, sink: Sink) -> int:
     return 0
 
 
-def cmd_rigidity(cfg: Cfg, args, sink: Sink) -> int:
+def cmd_rigidity(cfg: Cfg, sink: Sink) -> int:
+    """rotation return defects along the ladder"""
     cfg.allow("operator", "jMax", "samples")
     op = operator_from(cfg.sub("operator"))
-    j_max = _require_int(_pick(cfg, "jMax", args.j_max, op.levels - 1), "jMax", 1)
+    j_max = cfg.get("jMax", int, op.levels - 1, minimum=1)
     if j_max > op.levels - 1:
         raise ConfigError(f"jMax must be <= levels - 1 = {op.levels - 1}")
     if cfg.has("samples"):
-        samples = [_normalized(vector_from(Cfg(v, f"samples[{i}]"), op))
-                   for i, v in enumerate(cfg.get_list("samples"))]
+        samples = [_normalized(vector_from(s, op)) for s in cfg.subs("samples")]
     else:
         samples = op.head_basis() + [_normalized(opcore.dyadic_comb(op.dim_cap, op.p))]
     rows = []
@@ -386,12 +355,13 @@ def cmd_rigidity(cfg: Cfg, args, sink: Sink) -> int:
     return 0
 
 
-def cmd_orbit(cfg: Cfg, args, sink: Sink) -> int:
+def cmd_orbit(cfg: Cfg, sink: Sink) -> int:
+    """return set and density profile of one vector"""
     cfg.allow("operator", "vector", "eps", "horizon", "window")
     op = operator_from(cfg.sub("operator"))
     x = vector_from(cfg.sub("vector"), op)
-    eps = _require_num(_pick(cfg, "eps", args.eps), "eps")
-    horizon, window = _horizon_window(cfg, args)
+    eps = cfg.get("eps", float)
+    horizon, window = _horizon_window(cfg)
     try:
         hits, ds = dynamics.orbit_returns(op, x, eps, horizon)
     except dynamics.DynamicsError as exc:
@@ -414,23 +384,21 @@ def cmd_orbit(cfg: Cfg, args, sink: Sink) -> int:
     return 0
 
 
-def cmd_qr_search(cfg: Cfg, args, sink: Sink) -> int:
+def cmd_qr_search(cfg: Cfg, sink: Sink) -> int:
+    """greedy shrinking-defect return time search"""
     cfg.allow("operator", "rotationOnly", "epsSchedule", "samples", "maxLevel",
               "multipliers", "neighbors", "scanHead")
     op = operator_from(cfg.sub("operator"))
-    rotation_only = cfg.get_bool("rotationOnly", False)
-    schedule = [_require_num(e, f"epsSchedule[{i}]")
-                for i, e in enumerate(cfg.get_list("epsSchedule"))]
-    max_level = cfg.get_int("maxLevel", op.levels, minimum=1)
-    multipliers = [_require_int(v, f"multipliers[{i}]", 1)
-                   for i, v in enumerate(cfg.get_list("multipliers", [1]))]
-    neighbors = cfg.get_bool("neighbors", False)
-    scan_head = cfg.get_int("scanHead", 0, minimum=0)
+    rotation_only = cfg.get("rotationOnly", bool, False)
+    schedule = cfg.items("epsSchedule", float)
+    max_level = cfg.get("maxLevel", int, op.levels, minimum=1)
+    multipliers = cfg.items("multipliers", int, [1], minimum=1)
+    neighbors = cfg.get("neighbors", bool, False)
+    scan_head = cfg.get("scanHead", int, 0, minimum=0)
     candidates = pr.lattice_candidates(op.modulus, max_level,
                                        tuple(multipliers), neighbors, scan_head)
     if cfg.has("samples"):
-        samples = [vector_from(Cfg(v, f"samples[{i}]"), op)
-                   for i, v in enumerate(cfg.get_list("samples"))]
+        samples = [vector_from(s, op) for s in cfg.subs("samples")]
     else:
         samples = op.head_basis()
     target = op.rotation_part() if rotation_only else op
@@ -457,10 +425,11 @@ def cmd_qr_search(cfg: Cfg, args, sink: Sink) -> int:
     return 0
 
 
-def cmd_period(cfg: Cfg, args, sink: Sink) -> int:
+def cmd_period(cfg: Cfg, sink: Sink) -> int:
+    """density threshold period classification"""
     cfg.allow("family", "horizon", "window", "delta")
-    horizon, window = _horizon_window(cfg, args)
-    delta = _require_num(_pick(cfg, "delta", args.delta), "delta")
+    horizon, window = _horizon_window(cfg)
+    delta = cfg.get("delta", float)
     a = family_set(cfg.sub("family"), horizon)
     try:
         cls = dynamics.classify_period_by_density(a, window, delta)
@@ -474,17 +443,17 @@ def cmd_period(cfg: Cfg, args, sink: Sink) -> int:
     return 0
 
 
-def cmd_krylov(cfg: Cfg, args, sink: Sink) -> int:
+def cmd_krylov(cfg: Cfg, sink: Sink) -> int:
+    """orbit span rank growth"""
     cfg.allow("operator", "vector", "depth", "depths")
     op = operator_from(cfg.sub("operator"))
     x = vector_from(cfg.sub("vector"), op)
     if cfg.has("depths"):
-        depths = [_require_int(d, f"depths[{i}]", 1)
-                  for i, d in enumerate(cfg.get_list("depths"))]
+        depths = cfg.items("depths", int, minimum=1)
         if not depths:
             raise ConfigError(f"{cfg._at('depths')!r} must not be empty")
     else:
-        top = cfg.get_int("depth", min(op.dim_cap, 64), minimum=1)
+        top = cfg.get("depth", int, min(op.dim_cap, 64), minimum=1)
         depths = sorted({min(1 << i, top) for i in range(top.bit_length() + 1)})
     ranks = [opcore.krylov_rank(op, x, d) for d in depths]
     payload = {"depths": depths, "ranks": ranks}
@@ -528,42 +497,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="recurlab",
         description="Return-time experiments on truncated sequence space operators.")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out-dir", default=".", help="directory for report files")
         p.add_argument("--format", action="append", choices=["json", "csv", "svg"],
                        help="output format, repeatable (default: json)")
-
-    p = sub.add_parser("families", help="materialize a set family and profile it")
-    common(p)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--window", type=int)
-
-    p = sub.add_parser("construct", help="build the operator and dump its anatomy")
-    common(p)
-
-    p = sub.add_parser("rigidity", help="rotation return defects along the ladder")
-    common(p)
-    p.add_argument("--j-max", type=int)
-
-    p = sub.add_parser("orbit", help="return set and density profile of one vector")
-    common(p)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--window", type=int)
-
-    p = sub.add_parser("qr-search", help="greedy shrinking-defect return time search")
-    common(p)
-
-    p = sub.add_parser("period", help="density threshold period classification")
-    common(p)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--delta", type=float)
-
-    p = sub.add_parser("krylov", help="orbit span rank growth")
-    common(p)
     return top
 
 
@@ -586,7 +525,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sink = Sink(args.out_dir, formats)
     try:
         cfg = Cfg(data)
-        return _COMMANDS[args.command](cfg, args, sink)
+        return _COMMANDS[args.command](cfg, sink)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,7 +40,7 @@ def _check_return(eps: float, horizon: int) -> None:
 def orbit_returns(op, x: Vec, eps: float, horizon: int) -> tuple[NatSet, list[float]]:
     """The return set up to the horizon and || T^n x - x || for every n in 0..horizon."""
     _check_return(eps, horizon)
-    ds = [d for d, in displacements(op, range(horizon + 1), [x])]
+    ds = list(itertools.chain.from_iterable(displacements(op, range(horizon + 1), [x])))
     return NatSet(tuple(n for n, d in enumerate(ds) if d < eps), horizon), ds
 
 
@@ -269,10 +269,10 @@ def commutant_return_inclusion(op, coeffs: Sequence[complex], x: Vec,
     first = None
     count = 0
     times = range(horizon + 1)
+    ds = itertools.chain.from_iterable(displacements(op, times, [x]))
     # the tight return times, read twice: to list them and to move S x by them
-    returns, again = itertools.tee(n for n, (d,) in zip(times, displacements(op, times, [x]))
-                                   if d < tight)
-    for n, (d,) in zip(returns, displacements(op, again, [sx])):
+    returns, again = itertools.tee(n for n, d in zip(times, ds) if d < tight)
+    for n, d in zip(returns, itertools.chain.from_iterable(displacements(op, again, [sx]))):
         count += 1
         if not d < eps:
             first = n

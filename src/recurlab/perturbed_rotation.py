@@ -261,11 +261,12 @@ class PerturbedRotation(Operator):
     grid: FunctionalGrid
     dim_cap: int
     p: float = 2.0
-    functional_bound: float = 1.0
     mesh_levels: tuple[Fraction, ...] = DEFAULT_MESH
     targets: tuple[tuple[complex, ...], ...] = ()
 
     error = ConstructionError
+    # K: every quantized head functional has sup modulus exactly one
+    functional_bound = 1.0
 
     def __post_init__(self) -> None:
         if self.modulus.fold_n != self.fold_n or self.grid.fold_n != self.fold_n:
@@ -449,7 +450,7 @@ def build_operator(fold_n: int, mesh_levels: Sequence = DEFAULT_MESH,
     ladder = build_modulus_ladder(fold_n, levels, rule)
     cap = max(dim_cap if dim_cap is not None else 0, levels)
     mesh_t = tuple(_coerce_mesh(v) for v in mesh_levels)
-    return PerturbedRotation(fold_n, ladder, grid, cap, p, 1.0, mesh_t, tgt)
+    return PerturbedRotation(fold_n, ladder, grid, cap, p, mesh_t, tgt)
 
 
 # ---------------------------------------------------------------------------

@@ -107,20 +107,34 @@ class TestConfigHandling:
         assert exc.value.code == 1
         assert "--config" in capsys.readouterr().err
 
-    def test_config_value_beats_flag(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "f.json", {
-            "horizon": 50, "family": {"kind": "multiples", "p": 5}})
-        code, out, _ = run(["families", "--config", cfg, "--horizon", "10",
-                            "--out-dir", str(tmp_path / "o")], capsys)
-        assert code == 0
-        assert "horizon=50" in out
+    @pytest.mark.parametrize("command, flag, value", [
+        ("families", "--horizon", "30"), ("families", "--window", "3"),
+        ("rigidity", "--j-max", "4"),
+        ("orbit", "--eps", "inf"), ("orbit", "--horizon", "30"), ("orbit", "--window", "3"),
+        ("period", "--horizon", "30"), ("period", "--window", "3"),
+        ("period", "--delta", "0.2"),
+    ])
+    def test_override_flags_are_usage_errors(self, tmp_path, capsys, command, flag, value):
+        """The config file is the only input: no flag sets a config value."""
+        cfg = write_cfg(tmp_path, "c.json", dict(CLI_RUNS)[command])
+        out_dir = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", cfg, "--out-dir", str(out_dir), flag, value])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: recurlab ")
+        assert f"error: unrecognized arguments: {flag} {value}" in err
+        assert not out_dir.exists()
 
-    def test_flag_fills_config_gap(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "f.json", {"family": {"kind": "multiples", "p": 5}})
-        code, out, _ = run(["families", "--config", cfg, "--horizon", "30",
-                            "--out-dir", str(tmp_path / "o")], capsys)
+    @pytest.mark.parametrize("command, base", CLI_RUNS, ids=[c for c, _ in CLI_RUNS])
+    def test_record_config_is_the_file_as_read(self, tmp_path, capsys, command, base):
+        cfg = write_cfg(tmp_path, "c.json", base)
+        out_dir = tmp_path / "o"
+        code, _, _ = run([command, "--config", cfg, "--out-dir", str(out_dir)], capsys)
         assert code == 0
-        assert "horizon=30" in out
+        (record,) = [json.loads(f.read_text()) for f in out_dir.iterdir()]
+        with open(cfg) as f:
+            assert record["config"] == json.load(f)
 
     def test_computational_failure_exits_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "f.json", {
@@ -154,7 +168,7 @@ class TestConfigHandling:
         assert code == 1 and "integer" in err
 
     def test_unexpected_exception_exits_two(self, tmp_path, capsys, monkeypatch):
-        def boom(cfg, args, sink):
+        def boom(cfg, sink):
             raise RuntimeError("wires crossed")
         monkeypatch.setitem(cli._COMMANDS, "families", boom)
         cfg = write_cfg(tmp_path, "f.json", {

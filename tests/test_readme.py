@@ -1,10 +1,13 @@
-"""The README quick tour runs as written and prints what its comments claim."""
+"""The README quick tour and command line example run as written."""
 
+import json
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
 import recurlab as rl
+from recurlab import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +23,19 @@ def test_quick_tour_runs(capsys):
     lower_banach = rl.density_profile(ns["a"], 5).lower_banach
     assert lower_banach == Fraction(1, 5)
     assert capsys.readouterr().out.splitlines()[-1] == "1/5"
+
+
+def test_cli_example_runs(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    example = text.split("## Command line", 1)[1].split("Example:", 1)[1]
+    name, body, command = re.search(
+        r"cat > (\S+) <<'EOF'\n(.*?)\nEOF\n(recurlab [^\n]*)", example, re.S).groups()
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_text(body, encoding="utf-8")
+    argv = shlex.split(command)[1:]
+    assert cli.main(argv) == 0
+    out = Path(argv[argv.index("--out-dir") + 1])
+    assert sorted(p.name for p in out.iterdir()) == ["orbit.json", "orbit.svg"]
+    record = json.loads((out / "orbit.json").read_text(encoding="utf-8"))
+    assert record["config"] == json.loads(body)
+    assert capsys.readouterr().out.startswith("orbit eps=0.05 horizon=600 ")
