@@ -15,7 +15,7 @@ from .opcore import (SUP, Applied, BlockPermutationIsometry, Diagonal,
                      OpcoreError, Vec, WeightedBackwardShift,
                      basis_vec, diagonal_rotation, distance, dyadic_comb,
                      krylov_rank, stack, vec_of, zero_vec)
-from .perturbed_rotation import (DEFAULT_MESH, GROWTH_RULES, ConstructionError,
+from .perturbed_rotation import (DEFAULT_MESH, ConstructionError,
                                  FunctionalGrid, GridEntry, GridResolutionError,
                                  ModulusLadder, PerturbedRotation, RigidityDefect,
                                  ScanReport, WitnessPoint, annihilating_functional,
@@ -40,7 +40,7 @@ __all__ = [
     "OpcoreError", "Vec", "WeightedBackwardShift", "basis_vec",
     "diagonal_rotation", "distance", "dyadic_comb", "krylov_rank", "stack",
     "vec_of", "zero_vec",
-    "DEFAULT_MESH", "GROWTH_RULES", "ConstructionError", "FunctionalGrid",
+    "DEFAULT_MESH", "ConstructionError", "FunctionalGrid",
     "GridEntry", "GridResolutionError", "ModulusLadder", "PerturbedRotation",
     "RigidityDefect", "ScanReport", "WitnessPoint", "annihilating_functional",
     "build_functional_grid", "build_modulus_ladder", "build_operator",

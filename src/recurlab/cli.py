@@ -175,7 +175,7 @@ def _family_generator(cfg: Cfg, horizon: int):
 
 
 def operator_from(cfg: Cfg) -> pr.PerturbedRotation:
-    cfg.allow("foldN", "mesh", "targets", "dimCap", "norm", "rule", "minLevels")
+    cfg.allow("foldN", "mesh", "targets", "dimCap", "norm", "minLevels")
     fold_n = cfg.get("foldN", int, minimum=1)
     mesh = cfg.get("mesh", list, None)
     if mesh is None:
@@ -193,12 +193,8 @@ def operator_from(cfg: Cfg) -> pr.PerturbedRotation:
                              for j, c in enumerate(t)))
     dim_cap = cfg.get("dimCap", int, None, minimum=1)
     p = _parse_norm(cfg.raw("norm", 2), cfg._at("norm"))
-    rule = cfg.get("rule", str, "dyadic-sq")
     min_levels = cfg.get("minLevels", int, 0, minimum=0)
-    try:
-        return pr.build_operator(fold_n, mesh_vals, targets, dim_cap, p, rule, min_levels)
-    except pr.ConstructionError as exc:
-        raise ConfigError(str(exc)) from None
+    return pr.build_operator(fold_n, mesh_vals, targets, dim_cap, p, min_levels)
 
 
 def vector_from(cfg: Cfg, op: pr.PerturbedRotation) -> opcore.Vec:
@@ -236,19 +232,13 @@ class Sink:
         self.out_dir = out_dir
         self.formats = tuple(formats)
         os.makedirs(out_dir, exist_ok=True)
-        self.written: list[str] = []
 
     def want(self, fmt: str) -> bool:
         return fmt in self.formats
 
-    def path(self, name: str) -> str:
-        return os.path.join(self.out_dir, name)
-
     def _write(self, fmt: str, name: str, writer, *content) -> None:
         if self.want(fmt):
-            p = self.path(name)
-            writer(p, *content)
-            self.written.append(p)
+            writer(os.path.join(self.out_dir, name), *content)
 
     def json(self, name: str, record: dict) -> None:
         self._write("json", name, report.write_json, record)
@@ -306,7 +296,7 @@ def cmd_construct(cfg: Cfg, sink: Sink) -> int:
              for j in range(op.head, min(op.levels - 1, op.head + 6) + 1)]
     payload = {"descriptor": desc, "descriptorHash": h, "ladder": ladder,
                "grid": grid_rows, "couplingBounds": certs,
-               "normEquivUpper": op.grid.norm_equiv_upper()}
+               "normEquivUpper": op.norm_equiv_upper()}
     sink.json("operator.json", report.make_record("construct", cfg.data, payload))
     sink.csv("grid.csv", ["level", "mesh", "coefficients"],
              [[e.level, e.mesh,
@@ -362,10 +352,7 @@ def cmd_orbit(cfg: Cfg, sink: Sink) -> int:
     x = vector_from(cfg.sub("vector"), op)
     eps = cfg.get("eps", float)
     horizon, window = _horizon_window(cfg)
-    try:
-        hits, ds = dynamics.orbit_returns(op, x, eps, horizon)
-    except dynamics.DynamicsError as exc:
-        raise ConfigError(str(exc)) from None
+    hits, ds = dynamics.orbit_returns(op, x, eps, horizon)
     prof = natset.density_profile(hits, window)
     payload = {"eps": eps, "returnSet": hits.to_json_dict(),
                "density": prof.to_json_dict(),
@@ -402,10 +389,7 @@ def cmd_qr_search(cfg: Cfg, sink: Sink) -> int:
     else:
         samples = op.head_basis()
     target = op.rotation_part() if rotation_only else op
-    try:
-        result = dynamics.quasi_rigidity_search(target, samples, schedule, candidates)
-    except dynamics.DynamicsError as exc:
-        raise ConfigError(str(exc)) from None
+    result = dynamics.quasi_rigidity_search(target, samples, schedule, candidates)
     if isinstance(result, dynamics.QrWitness):
         payload = {"found": True,
                    "times": [str(t) for t in result.times],
@@ -431,10 +415,7 @@ def cmd_period(cfg: Cfg, sink: Sink) -> int:
     horizon, window = _horizon_window(cfg)
     delta = cfg.get("delta", float)
     a = family_set(cfg.sub("family"), horizon)
-    try:
-        cls = dynamics.classify_period_by_density(a, window, delta)
-    except dynamics.DynamicsError as exc:
-        raise ConfigError(str(exc)) from None
+    cls = dynamics.classify_period_by_density(a, window, delta)
     exact = dynamics.detect_period(a)
     payload = {"classification": cls.to_json_dict(), "exactPeriod": exact}
     sink.json("period.json", report.make_record("period", cfg.data, payload))

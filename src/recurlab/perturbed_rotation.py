@@ -29,10 +29,11 @@ integer envelope.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -53,22 +54,11 @@ class GridResolutionError(ValueError):
 # ---------------------------------------------------------------------------
 # modulus ladder
 
-# Each rule maps a level index k to the integer factor m_{k+1} / m_k.  The
-# default squares the polynomial part so that the rigidity envelope
-# 2*pi*sum_{k>j} m_j/m_k drops below 1e-6 already at j = 14.
-GROWTH_RULES: dict[str, Callable[[int], int]] = {
-    "dyadic-sq": lambda k: (1 << (k + 2)) * k * k,
-    "dyadic": lambda k: (1 << (k + 2)) * k,
-}
-
-
 @dataclass(frozen=True)
 class ModulusLadder:
     """The divisibility chain m_1 | m_2 | ... with unit head block."""
 
-    fold_n: int
     values: tuple[int, ...]
-    rule: str = "dyadic-sq"
 
     @property
     def levels(self) -> int:
@@ -80,11 +70,15 @@ class ModulusLadder:
             raise ConstructionError(f"level {k} outside 1..{self.levels}")
         return self.values[k - 1]
 
-    def growth(self, k: int) -> int:
-        return GROWTH_RULES[self.rule](k)
+    @staticmethod
+    def growth(k: int) -> int:
+        """The factor m_{k+1} / m_k = 2^(k+2) k^2.  Squaring the polynomial part
+        puts the rigidity envelope 2*pi*sum_{k>j} m_j/m_k below 1e-6 already at
+        j = 14."""
+        return (1 << (k + 2)) * k * k
 
     def extended_m(self, k: int) -> int:
-        """m_k continued past the built levels by the growth rule."""
+        """m_k continued past the built levels by the growth factor."""
         if k <= self.levels:
             return self.m(k)
         m = self.values[-1]
@@ -103,7 +97,7 @@ class ModulusLadder:
         """Rational upper bound on the infinite sum of m_j / m_k over k > j.
 
         The finite part is exact; the part beyond the built levels is
-        dominated through the growth rule by a geometric comparison.
+        dominated through the growth factor by a geometric comparison.
         """
         total = self.cert_bound(j) if j <= self.levels - 1 else Fraction(0)
         g0 = self.growth(self.levels)
@@ -116,19 +110,16 @@ class ModulusLadder:
         return (g + 2) / (self.m(self.levels) * g)
 
 
-def build_modulus_ladder(fold_n: int, levels: int, rule: str = "dyadic-sq") -> ModulusLadder:
-    """Unit head block of length fold_n + 1, then multiply by the growth rule."""
+def build_modulus_ladder(fold_n: int, levels: int) -> ModulusLadder:
+    """Unit head block of length fold_n + 1, then multiply by the growth factor."""
     if fold_n < 1:
         raise ConstructionError("fold parameter must be >= 1")
     if levels < fold_n + 3:
         raise ConstructionError("need at least fold_n + 3 levels")
-    if rule not in GROWTH_RULES:
-        raise ConstructionError(f"unknown growth rule {rule!r}")
-    grow = GROWTH_RULES[rule]
     vals = [1] * (fold_n + 1)
     for k in range(fold_n + 1, levels):
-        vals.append(vals[-1] * grow(k))
-    return ModulusLadder(fold_n, tuple(vals), rule)
+        vals.append(vals[-1] * ModulusLadder.growth(k))
+    return ModulusLadder(tuple(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -152,24 +143,11 @@ class FunctionalGrid:
     its group resolution, the quantization radius the net guarantees.
     """
 
-    fold_n: int
     entries: tuple[GridEntry, ...]
-    p: float = 2.0
 
     @property
     def finest_mesh(self) -> float:
         return min(e.mesh for e in self.entries)
-
-    def norm_equiv_upper(self) -> float:
-        # dual-norm comparison against the sup norm of the coefficients,
-        # by Holder on fold_n + 1 head coordinates
-        n1 = self.fold_n + 1
-        if self.p == SUP:
-            return float(n1)
-        if self.p == 1.0:
-            return 1.0
-        q = self.p / (self.p - 1.0)
-        return float(n1 ** (1.0 / q))
 
 
 def quantize_head_functional(alpha: Sequence[complex], mesh: float) -> tuple[complex, ...]:
@@ -217,10 +195,18 @@ DEFAULT_MESH: tuple[Fraction, ...] = tuple(
 
 def build_functional_grid(fold_n: int, mesh_levels: Sequence = DEFAULT_MESH,
                           targets: Sequence[Sequence[complex]] = (),
-                          p: float = 2.0) -> FunctionalGrid:
+                          min_levels: int = 0) -> FunctionalGrid:
+    """The grid for levels head + 1, head + 2, ...: entry i sits at level head + 1 + i.
+
+    One group per mesh, in the given order, then repeated coordinate
+    functionals at the finest mesh until head + len(entries) reaches
+    max(min_levels, fold_n + 3): the padding deepens the modulus ladder
+    without changing the net.  The meshes must be positive and strictly
+    decreasing as the floats the entries store.
+    """
     if fold_n < 1:
         raise ConstructionError("fold parameter must be >= 1")
-    meshes = [_coerce_mesh(v) for v in mesh_levels]
+    meshes = [float(m) for m in mesh_levels]
     if not meshes or any(m <= 0 for m in meshes):
         raise ConstructionError("mesh schedule must be positive")
     if any(b >= a for a, b in zip(meshes, meshes[1:])):
@@ -230,25 +216,15 @@ def build_functional_grid(fold_n: int, mesh_levels: Sequence = DEFAULT_MESH,
         if len(t) != head:
             raise ConstructionError("target functional has wrong head size")
 
-    unit_rows = [tuple((1 + 0j) if j == i else 0j for j in range(head)) for i in range(head)]
-    entries: list[GridEntry] = []
-    level = fold_n + 2
-    for mesh in meshes:
-        mesh_f = float(mesh)
-        group: list[tuple[complex, ...]] = []
-        seen: set[tuple[complex, ...]] = set()
-        for row in unit_rows:
-            group.append(row)
-            seen.add(row)
-        for t in targets:
-            q = quantize_head_functional(t, mesh_f)
-            if q not in seen:
-                group.append(q)
-                seen.add(q)
-        for alpha in group:
-            entries.append(GridEntry(level, mesh_f, alpha))
-            level += 1
-    return FunctionalGrid(fold_n, tuple(entries), p)
+    units = [tuple((1 + 0j) if j == i else 0j for j in range(head)) for i in range(head)]
+    # each group lists the coordinate functionals, then the new quantized targets
+    rows = [(mesh, alpha) for mesh in meshes
+            for alpha in dict.fromkeys(units + [quantize_head_functional(t, mesh)
+                                                for t in targets])]
+    rows += [(meshes[-1], units[i % head])
+             for i in range(max(min_levels, fold_n + 3) - head - len(rows))]
+    return FunctionalGrid(tuple(GridEntry(head + 1 + i, mesh, alpha)
+                                for i, (mesh, alpha) in enumerate(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,43 +232,52 @@ def build_functional_grid(fold_n: int, mesh_levels: Sequence = DEFAULT_MESH,
 
 @dataclass(frozen=True, eq=False)
 class PerturbedRotation(Operator):
+    """T = R + the head-driven perturbation, built from its parameters alone.
+
+    fold_n, the mesh schedule, the target functionals and min_levels fix the
+    functional grid (`build_functional_grid`); the modulus ladder has one
+    unit level per head coordinate and one level per grid entry; dim_cap is
+    raised to cover every level; p is the norm exponent.  The mesh schedule
+    is kept as Fractions and the targets as complex tuples, as the
+    descriptor records them.
+    """
+
     fold_n: int
-    modulus: ModulusLadder
-    grid: FunctionalGrid
-    dim_cap: int
-    p: float = 2.0
     mesh_levels: tuple[Fraction, ...] = DEFAULT_MESH
     targets: tuple[tuple[complex, ...], ...] = ()
+    dim_cap: Optional[int] = None
+    p: float = 2.0
+    min_levels: int = 0
 
     error = ConstructionError
     # K: every quantized head functional has sup modulus exactly one
     functional_bound = 1.0
 
     def __post_init__(self) -> None:
-        if self.modulus.fold_n != self.fold_n or self.grid.fold_n != self.fold_n:
-            raise ConstructionError("fold parameter disagrees between parts")
-        levels = self.modulus.levels
-        if len(self.grid.entries) != levels - (self.fold_n + 1):
-            raise ConstructionError("grid entries must pair with modulus levels one-to-one")
-        if self.dim_cap < levels:
-            raise ConstructionError("dim_cap must cover every built level")
+        put = functools.partial(object.__setattr__, self)
+        put("targets", tuple(tuple(complex(c) for c in t) for t in self.targets))
+        put("mesh_levels", tuple(_coerce_mesh(v) for v in self.mesh_levels))
+        put("grid", build_functional_grid(self.fold_n, self.mesh_levels, self.targets,
+                                          self.min_levels))
+        levels = self.head + len(self.grid.entries)
+        put("modulus", build_modulus_ladder(self.fold_n, levels))
+        put("dim_cap", max(self.dim_cap or 0, levels))
         m = self.modulus.m
-        object.__setattr__(self, "_rotation", diagonal_rotation(
+        put("_rotation", diagonal_rotation(
             [Fraction(1, m(k)) for k in range(1, levels + 1)], self.dim_cap, self.p))
-        object.__setattr__(self, "_alpha", np.array([e.alpha for e in self.grid.entries],
-                                                    dtype=np.complex128))
+        put("_alpha", np.array([e.alpha for e in self.grid.entries], dtype=np.complex128))
         # the phases 1/m_k of the perturbed levels k = head+1..levels (the head
         # has m_k = 1), m_{k-1} and sinc(pi/m_k) beside them
         pert = self.modulus.values[self.head:]
-        object.__setattr__(self, "_phases", Moduli([1] * len(pert), pert))
-        object.__setattr__(self, "_prev", Denominators(self.modulus.values[self.head - 1:-1]))
-        object.__setattr__(self, "_sinc_unit", np.sinc([1 / v for v in pert]))
+        put("_phases", Moduli([1] * len(pert), pert))
+        put("_prev", Denominators(self.modulus.values[self.head - 1:-1]))
+        put("_sinc_unit", np.sinc([1 / v for v in pert]))
         # (2 m_{k-1}, m_k) for the six levels past the truncation, for loss
         ext = [self.modulus.extended_m(k) for k in range(levels, levels + 7)]
-        object.__setattr__(self, "_tail", tuple(zip([2 * v for v in ext], ext[1:])))
+        put("_tail", tuple(zip([2 * v for v in ext], ext[1:])))
         # |<w_k, P x>| <= norm_equiv_upper * K * ||x|| by Holder: the factor of
         # both the truncation loss and the norm bound
-        object.__setattr__(self, "_mu", self.grid.norm_equiv_upper() * self.functional_bound)
+        put("_mu", self.norm_equiv_upper() * self.functional_bound)
 
     # -- structure accessors ------------------------------------------------
 
@@ -308,6 +293,16 @@ class PerturbedRotation(Operator):
         """R: the exact unit phase 1/m_k on level k, identity past the levels."""
         return self._rotation
 
+    def norm_equiv_upper(self) -> float:
+        # dual-norm comparison against the sup norm of the coefficients,
+        # by Holder on the head coordinates
+        if self.p == SUP:
+            return float(self.head)
+        if self.p == 1.0:
+            return 1.0
+        q = self.p / (self.p - 1.0)
+        return float(self.head ** (1.0 / q))
+
     def head_basis(self) -> list[Vec]:
         """The unit vectors e_1..e_head that P keeps."""
         return [basis_vec(i, self.dim_cap, self.p) for i in range(1, self.head + 1)]
@@ -317,7 +312,7 @@ class PerturbedRotation(Operator):
             "variant": "perturbed-rotation",
             "foldN": self.fold_n,
             "levels": self.levels,
-            "growthRule": self.modulus.rule,
+            "growthRule": "dyadic-sq",
             "meshSchedule": [str(mq) for mq in self.mesh_levels],
             "targets": [[[c.real, c.imag] for c in t] for t in self.targets],
             "dimCap": self.dim_cap,
@@ -428,29 +423,8 @@ class PerturbedRotation(Operator):
 def build_operator(fold_n: int, mesh_levels: Sequence = DEFAULT_MESH,
                    targets: Sequence[Sequence[complex]] = (),
                    dim_cap: Optional[int] = None, p: float = 2.0,
-                   rule: str = "dyadic-sq", min_levels: int = 0) -> PerturbedRotation:
-    """Assemble ladder, grid and operator with consistent level bookkeeping.
-
-    min_levels pads the grid with repeated coordinate functionals at the
-    finest mesh, which deepens the modulus ladder without changing the net.
-    """
-    tgt = tuple(tuple(complex(c) for c in t) for t in targets)
-    grid = build_functional_grid(fold_n, mesh_levels, tgt, p)
-    entries = list(grid.entries)
-    head = fold_n + 1
-    want = max(min_levels, fold_n + 3)
-    finest = entries[-1].mesh
-    i = 0
-    while head + 1 + len(entries) - 1 < want:
-        unit = tuple((1 + 0j) if j == i % head else 0j for j in range(head))
-        entries.append(GridEntry(head + 1 + len(entries), finest, unit))
-        i += 1
-    grid = replace(grid, entries=tuple(entries))
-    levels = head + len(entries)
-    ladder = build_modulus_ladder(fold_n, levels, rule)
-    cap = max(dim_cap if dim_cap is not None else 0, levels)
-    mesh_t = tuple(_coerce_mesh(v) for v in mesh_levels)
-    return PerturbedRotation(fold_n, ladder, grid, cap, p, mesh_t, tgt)
+                   min_levels: int = 0) -> PerturbedRotation:
+    return PerturbedRotation(fold_n, mesh_levels, targets, dim_cap, p, min_levels)
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def old_tail_loss(op, xnorm, n):
         last = min(2 * n, m_k) / (2 * prev)
         total += last
     total += last
-    return op.grid.norm_equiv_upper() * op.functional_bound * xnorm * total
+    return op.norm_equiv_upper() * op.functional_bound * xnorm * total
 
 
 def old_perturbed(op, n, x):

@@ -81,6 +81,26 @@ class TestConfigHandling:
         assert code == 1
         assert "family.parts[1].dif" in err
 
+    def test_growth_rule_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "c.json", {"operator": {"foldN": 2, "rule": "dyadic"}})
+        out_dir = tmp_path / "o"
+        code, out, err = run(["construct", "--config", cfg, "--out-dir", str(out_dir)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: unknown config key 'operator.rule'")
+        assert not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("extra", [{}, {"targets": [[1, 0, 0]]}],
+                             ids=["plain", "with-target"])
+    def test_mesh_underflowing_to_zero_is_config_error(self, tmp_path, capsys, extra):
+        # two distinct exact meshes that are both 0.0 as floats
+        cfg = write_cfg(tmp_path, "c.json", {
+            "operator": {"foldN": 2, "mesh": ["1e-400", "1e-401"], **extra}})
+        out_dir = tmp_path / "o"
+        code, out, err = run(["construct", "--config", cfg, "--out-dir", str(out_dir)], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: mesh schedule must be positive\n"
+        assert not any(out_dir.iterdir())
+
     def test_bad_json_is_config_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{nope")

@@ -37,11 +37,6 @@ class TestModulusLadder:
         assert lad.m(5) == lad.m(4) * 64 * 16
         assert lad.m(6) == lad.m(5) * 128 * 25
 
-    def test_hand_values_linear_rule(self):
-        lad = pr.build_modulus_ladder(2, 8, rule="dyadic")
-        assert lad.m(4) == 32 * 3
-        assert lad.m(5) == lad.m(4) * 64 * 4
-
     def test_divisibility_chain(self):
         lad = pr.build_modulus_ladder(3, 14)
         for k in range(1, lad.levels):
@@ -74,8 +69,6 @@ class TestModulusLadder:
             pr.build_modulus_ladder(0, 8)
         with pytest.raises(pr.ConstructionError):
             pr.build_modulus_ladder(3, 5)
-        with pytest.raises(pr.ConstructionError):
-            pr.build_modulus_ladder(2, 8, rule="cubic")
         lad = pr.build_modulus_ladder(2, 8)
         with pytest.raises(pr.ConstructionError):
             lad.m(9)
@@ -145,11 +138,16 @@ class TestFunctionalGrid:
             pr.build_functional_grid(2, [Fraction(1, 2), 1])
         with pytest.raises(pr.ConstructionError):
             pr.build_functional_grid(2, [1], targets=[(1, 0)])
+        # distinct as Fractions, both 0.0 as the floats the entries store
+        with pytest.raises(pr.ConstructionError, match="positive"):
+            pr.build_functional_grid(2, [Fraction(1, 10 ** 400), Fraction(1, 10 ** 401)])
+        with pytest.raises(pr.ConstructionError, match="decreasing"):
+            pr.build_functional_grid(2, [Fraction(1, 10), Fraction(1, 10) - Fraction(1, 10 ** 30)])
 
     def test_norm_equivalence_constants(self):
-        assert pr.build_functional_grid(2, p=2.0).norm_equiv_upper() == pytest.approx(math.sqrt(3))
-        assert pr.build_functional_grid(2, p=1.0).norm_equiv_upper() == 1.0
-        assert pr.build_functional_grid(2, p=rl.SUP).norm_equiv_upper() == 3.0
+        assert pr.build_operator(2, p=2.0).norm_equiv_upper() == pytest.approx(math.sqrt(3))
+        assert pr.build_operator(2, p=1.0).norm_equiv_upper() == 1.0
+        assert pr.build_operator(2, p=rl.SUP).norm_equiv_upper() == 3.0
 
 
 class TestPhaseSum:
@@ -316,19 +314,49 @@ class TestBuildOperator:
         c = pr.build_operator(2, targets=[(0.5, 0.9, 0)], dim_cap=40)
         assert a.descriptor() != c.descriptor()
 
-    def test_part_consistency_enforced(self):
-        lad = pr.build_modulus_ladder(2, 10)
-        grid = pr.build_functional_grid(3)
-        with pytest.raises(pr.ConstructionError):
-            pr.PerturbedRotation(2, lad, grid, 64)
-        grid2 = pr.build_functional_grid(2, [1])
-        with pytest.raises(pr.ConstructionError):
-            pr.PerturbedRotation(2, lad, grid2, 64)  # 3 entries vs 7 slots
+    @pytest.mark.parametrize("fold", [1, 2, 3])
+    @pytest.mark.parametrize("mesh", [[1], [1, 0.5, 0.1], pr.DEFAULT_MESH])
+    @pytest.mark.parametrize("with_targets", [False, True])
+    @pytest.mark.parametrize("min_levels", [0, 7, 30])
+    def test_parts_follow_from_parameters(self, fold, mesh, with_targets, min_levels):
+        head = fold + 1
+        targets = [tuple(0.5 ** j * 1j ** j for j in range(head))] if with_targets else []
+        op = pr.PerturbedRotation(fold, mesh, targets, 4, 2.0, min_levels)
+        assert [e.level for e in op.grid.entries] == list(
+            range(head + 1, head + 1 + len(op.grid.entries)))
+        assert op.levels == head + len(op.grid.entries) == op.modulus.levels
+        assert op.levels >= max(min_levels, fold + 3)
+        assert op.modulus.values[:head] == (1,) * head
+        assert op.dim_cap >= op.levels
 
     def test_dim_cap_floor_is_levels(self):
-        # the builder widens a too-small cap; the raw constructor refuses it
+        # a cap below the level count is raised to it
         assert pr.build_operator(2, dim_cap=3).dim_cap == 24
         assert pr.build_operator(2).dim_cap == 24
+
+    @pytest.mark.parametrize("kwargs, digest", [
+        ({"fold_n": 1, "p": 1.0}, "84e9eae037cdea88b046e8eed2213c499af2f56e69ffa486c21ac859f492ffc4"),
+        ({"fold_n": 1, "p": 2.0}, "0c00be6bd28cfbfe59d1de9250234a6fbee0eb9200931315bca1cb6a0082a491"),
+        ({"fold_n": 1, "p": rl.SUP}, "2b6dde88f7c6d7b17f4fe687655efed05d0d72b0e24dc4b25a95420b7653c626"),
+        ({"fold_n": 2, "p": 1.0}, "fbcd8f1f892eda87d4743a9dcdd7c17dbbadc2639814793cc0ff557b6aff26c0"),
+        ({"fold_n": 2, "p": 2.0}, "21545224c978560d24eba902dfe520025e4c29cb6db84f087ed93e44f8afc2db"),
+        ({"fold_n": 2, "p": rl.SUP}, "483cfe8844e0ede6f2cecc87e522f432abea12d6ca2249bd2969b9a6513fea2f"),
+        ({"fold_n": 3, "p": 1.0}, "deda4f8d1b534d7895118a83b057a91e019c51e8a1f2c9e20aa3bd9e2aadc6a5"),
+        ({"fold_n": 3, "p": 2.0}, "8a0848673718dcf603f0a29b5742cadb6238475efd61b2d4c8d2631f29e13927"),
+        ({"fold_n": 3, "p": rl.SUP}, "9fbc8eff5432035d9ca5525ae0c3aad7e88299f1018c425f4d3d74b198e233cc"),
+        ({"fold_n": 2, "mesh_levels": [1, 0.5, 0.1]},
+         "1fd4e51cd10b68002ac366fd4b0323ce9878eeb856ec4855d778a2a5181b5c77"),
+        ({"fold_n": 2, "targets": [(1, 0.5j, 0.25)]},
+         "8f0f520cdad79b57a6181ef99101e698ded7133cf53055a2a8fde9853de0f08d"),
+        ({"fold_n": 1, "min_levels": 30},
+         "97d0e3b753355d532b1b928947ef58127caa671b6caa30054445d7a2468c1fd6"),
+        # raised to 24 levels, so the same operator as the fold-2 2-norm default
+        ({"fold_n": 2, "dim_cap": 4},
+         "21545224c978560d24eba902dfe520025e4c29cb6db84f087ed93e44f8afc2db"),
+    ])
+    def test_descriptor_hash_is_pinned(self, kwargs, digest):
+        # digests of the descriptors before the operator derived its own parts
+        assert rl.descriptor_hash(pr.build_operator(**kwargs).descriptor()) == digest
 
 
 class TestRigidity:
@@ -516,7 +544,7 @@ class TestExtremeScale:
         assert np.all(np.isfinite(out.vec.coords.view(np.float64)))
         # the perturbation coefficient is bounded by the growth factor at
         # each level, so the result cannot blow past that envelope
-        mu = deep_op.grid.norm_equiv_upper() * 3 * x.norm()
+        mu = deep_op.norm_equiv_upper() * 3 * x.norm()
         worst = max(deep_op.modulus.growth(k) for k in range(4, deep_op.levels))
         assert out.vec.norm() <= x.norm() + mu * worst
 
