@@ -185,6 +185,11 @@ def operator_from(cfg: Cfg) -> pr.PerturbedRotation:
             mesh_vals = tuple(Fraction(str(v)) for v in mesh)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"{cfg._at('mesh')!r}: {exc}") from None
+        for i, v in enumerate(mesh_vals):
+            try:
+                float(v)  # the grid stores each mesh as a float
+            except OverflowError:
+                raise ConfigError(f"'{cfg._at('mesh')}[{i}]' is too large for a float") from None
     targets = []
     for i, t in enumerate(cfg.get("targets", list, [])):
         if not isinstance(t, list):

@@ -5,8 +5,11 @@ one evaluator, `displacements(op, ns, samples)` (in `opcore`, beside the
 kernels).  It hands the closed-form `powers(ns, X)` the whole stack of samples
 in blocks of at most `opcore.CHUNK` rows, so a time's phases and coefficients
 are built once for every sample, a distance at time n costs the same whether
-n is 7 or 10**40, and scratch memory does not grow with the horizon.  Return
-sets land in `natset.NatSet` and can be fed straight into the density machinery.
+n is 7 or 10**40, and scratch memory does not grow with the horizon.  For an
+eventually periodic operator (`op.cycle()`: the shift, the block permutation,
+a diagonal of exact phases) it evaluates each distinct power once and reads
+every later time of the cycle back.  Return sets land in `natset.NatSet` and
+can be fed straight into the density machinery.
 """
 
 from __future__ import annotations

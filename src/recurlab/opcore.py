@@ -19,6 +19,10 @@ protocol:
   truncation discarded (exactly zero for maps that never push coordinates
   past dim_cap);
 - `apply(x)`: one step, `power(1, x)`;
+- `cycle()`: `(start, period)` when `powers` gives bit-identical rows for
+  all times n, n' >= start with n = n' mod period (T^(start + period) =
+  T^start exactly), `None` when no such cycle is known; `displacements`
+  then evaluates each distinct power once;
 - `descriptor()`: the JSON-ready identity of the build;
 - `norm_bound()`: a conservative upper bound on the operator norm.
 
@@ -35,6 +39,7 @@ does) and its perturbation coefficients from those residues.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -238,17 +243,61 @@ def stack(op, samples: Sequence[Vec]) -> np.ndarray:
     return np.array([x.coords for x in samples], dtype=complex).reshape(len(samples), op.dim_cap)
 
 
+# the largest start + period whose row norms `displacements` keeps, so a
+# folded sweep holds at most CYCLE_CAP floats per sample
+CYCLE_CAP = 1 << 16
+
+
 def displacements(op, ns: Iterable[int], samples: Sequence[Vec]) -> Iterator[list[float]]:
     """[|| T^n x - x || for x in samples] for each n of ns in order.
 
     Each `powers` call takes a block of times and the whole stack, at most CHUNK
-    rows in all.  Lazy: a caller that stops early leaves at most one block unused.
+    rows in all.  When `op.cycle()` gives (start, period) with start + period
+    at most CYCLE_CAP, each time is first folded to n if n < start, else to
+    start + (n - start) mod period, and `powers` sees only the folded times not
+    met before: their row norms are kept and read back for every time that
+    folds onto them.  Lazy: a caller that stops early leaves at most one block
+    unused.
     """
     xs = stack(op, samples)
-    for block in blocks(ns, max(1, CHUNK // max(1, len(xs)))):
-        rows = op.powers(block, xs)
-        rows -= xs
-        yield from row_norms(rows, op.p).tolist()
+    times = blocks(ns, max(1, CHUNK // max(1, len(xs))))
+    cycle = op.cycle()
+    if cycle is None or sum(cycle) > CYCLE_CAP:
+        for block in times:
+            yield from _displaced(op, block, xs).tolist()
+        return
+    start, period = cycle
+    known = np.zeros(start + period, dtype=bool)
+    norms = np.empty((start + period, len(xs)))
+    for block in times:
+        keys = _fold(op, block, xs, start, period)
+        fresh = ~known[keys]
+        if fresh.any():
+            # a Python set, not np.unique: its first call adds 1.6 MB of resident memory
+            new = sorted(set(keys[fresh].tolist()))
+            norms[new] = _displaced(op, new, xs)
+            known[new] = True
+        yield from norms[keys].tolist()
+
+
+def _displaced(op, ns: list[int], xs: np.ndarray) -> np.ndarray:
+    """|| T^n x - x || as a (len(ns), s) array, from one `powers` call."""
+    rows = op.powers(ns, xs)
+    rows -= xs  # in place: the layout `powers` returned sets numpy's summation order
+    return row_norms(rows, op.p)
+
+
+def _fold(op, block: list[int], xs: np.ndarray, start: int, period: int) -> np.ndarray:
+    """The index of each time of block on the cycle (start, period), as an intp array.
+
+    Natural int64 times fold in numpy.  Any other block goes through the
+    operator's own time check first, so a negative or non-integral time raises
+    as `powers` would, rather than folding onto the cycle.
+    """
+    n = np.array(block)
+    if n.dtype != np.int64 or n.ndim != 1 or n.min() < 0:
+        n = np.array(op._times(block, xs), dtype=object)
+    return np.minimum(n, (n - start) % period + start).astype(np.intp, copy=False)
 
 
 class Applied(NamedTuple):
@@ -287,6 +336,10 @@ class Operator:
         """Upper bound on the mass of T^n x the truncation discards: none by default."""
         return 0.0
 
+    def cycle(self) -> Optional[tuple[int, int]]:
+        """(start, period) with T^n = T^(n + period) bit for bit for n >= start; none by default."""
+        return None
+
 
 @dataclass(frozen=True, eq=False)
 class Diagonal(Operator):
@@ -314,6 +367,16 @@ class Diagonal(Operator):
     @property
     def dim_cap(self) -> int:
         return len(self.entries)
+
+    def cycle(self) -> Optional[tuple[int, int]]:
+        """(0, lcm of the phase denominators) when every entry is an exact phase."""
+        return None if self._plain else (0, self._lcm)
+
+    @functools.cached_property
+    def _lcm(self) -> int:
+        # on first use, not in __post_init__: for a deep modulus ladder the
+        # lcm costs as much as building the operator, and only a sweep needs it
+        return math.lcm(*self._turns[1].dens.objects.tolist())
 
     def powers(self, ns: Iterable[int], xs: np.ndarray) -> np.ndarray:
         ns = self._times(ns, xs)
@@ -368,6 +431,10 @@ class WeightedBackwardShift(Operator):
         # no weight power where nothing is left
         weights = int_powers(self.weight, np.where(steps < d, steps, 0).tolist())
         return weights[:, None, None] * window
+
+    def cycle(self) -> tuple[int, int]:
+        """Nilpotent: every row from n = dim_cap on is zero."""
+        return self.dim_cap, 1
 
     def descriptor(self) -> dict:
         w = complex(self.weight)
@@ -429,6 +496,10 @@ class BlockPermutationIsometry(Operator):
         self.check(x)
         gone = self._cut & (np.arange(1, self.dim_cap + 1) + min(n, self.dim_cap) > self.dim_cap)
         return Vec(np.where(gone, x.coords, 0), x.p).norm()
+
+    def cycle(self) -> tuple[int, int]:
+        """Periodic in the whole blocks; a cut block is empty from n = dim_cap on."""
+        return (self.dim_cap if self._cut.any() else 0), self._period
 
     def descriptor(self) -> dict:
         return {"variant": "block-permutation", "dimCap": self.dim_cap,

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import recurlab as rl
-from recurlab.opcore import CHUNK, _block_of, blocks
+from recurlab.opcore import CHUNK, CYCLE_CAP, _block_of, blocks, row_norms
 
 P_KINDS = {"l1": 1.0, "l2": 2.0, "l3": 3.0, "sup": rl.SUP}
 
@@ -140,6 +140,8 @@ def build(kind, p):
                             0.99), p)
     if kind == "rotation":
         return rl.diagonal_rotation([Fraction(i, 17) for i in range(16)], 20, p)
+    if kind == "phases":
+        return rl.Diagonal((Fraction(1, 7), Fraction(-2, 9), Fraction(5), Fraction(3, 4)), p)
     if kind == "shift":
         return rl.WeightedBackwardShift(0.9, 16, p)
     if kind == "shift-complex":
@@ -347,3 +349,115 @@ def test_krylov_rank_matches_chained_apply(op):
         x = vector(op, seed)
         for depth in (1, 2, 3, 5, 8, 16, 33, 70):
             assert rl.krylov_rank(op, x, depth) == chained_krylov_rank(op, x, depth)
+
+
+# ---------------------------------------------------------------------------
+# eventually periodic operators: displacements evaluates each distinct power once
+
+CYCLIC = ["rotation", "phases", "shift", "shift-complex", "block-64", "block-50"]
+CYCLIC_OPS = {(k, pk): build(k, p) for k in CYCLIC for pk, p in P_KINDS.items()}
+
+
+def test_stock_cycles():
+    assert build("rotation", 2.0).cycle() == (0, 17)
+    assert build("phases", 2.0).cycle() == (0, 252)
+    assert build("shift", 2.0).cycle() == (16, 1)
+    assert build("block-64", 2.0).cycle() == (0, 32)
+    assert build("block-50", 2.0).cycle() == (50, 16)
+    assert build("diagonal", 2.0).cycle() is None  # plain entries
+    assert build("perturbed-2", 2.0).cycle() is None
+    start, period = build("perturbed-2", 2.0).rotation_part().cycle()
+    assert start == 0 and period > CYCLE_CAP
+
+
+def cycle_edges(op):
+    start, period = op.cycle()
+    return [0, 1, max(0, start - 1), start, start + 1, start + period - 1, start + period,
+            2 ** 62 - 1, 2 ** 62, 2 ** 62 + 1, 10 ** 40]
+
+
+@pytest.mark.parametrize("pk", P_KINDS)
+@pytest.mark.parametrize("kind", CYCLIC)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_cycle_is_exact_and_folding_is_bit_for_bit(kind, pk, data):
+    op = CYCLIC_OPS[kind, pk]
+    start, period = op.cycle()
+    edges = cycle_edges(op)
+    seeds = data.draw(st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=3), label="seeds")
+    samples, xs = stack_of(op, seeds)
+    n = data.draw(st.sampled_from([e for e in edges if e >= start]) | st.integers(start, 10 ** 45),
+                  label="n")
+    assert op.powers([n + period], xs).tobytes() == op.powers([n], xs).tobytes()
+    times = edges + data.draw(st.lists(st.integers(0, 3000) | st.integers(0, 10 ** 45),
+                                       max_size=CHUNK + 10), label="times")
+    times = data.draw(st.permutations(times), label="order")
+    got = np.array(list(rl.displacements(op, times, samples)))
+    want = np.array([one_time_displacements(op, t, xs) for t in times])
+    assert got.tobytes() == want.tobytes()
+
+
+def one_time_displacements(op, n, xs):
+    """row_norms(T^n X - X) from a one-time `powers` call.  The subtraction is in
+    place, as in the evaluator: it keeps the memory layout `powers` returned
+    (samples innermost for the gathers of the shift and the permutation), and
+    that layout sets the order in which numpy sums each row."""
+    rows = op.powers([n], xs)
+    rows -= xs
+    return row_norms(rows, op.p)[0]
+
+
+@pytest.mark.parametrize("kind", CYCLIC + ["diagonal", "perturbed-2"])
+def test_bad_times_raise_before_folding(kind):
+    # % would send -1 to period - 1: a negative or non-integral time must still
+    # raise the operator's own error, also once the whole cycle is known
+    op = build(kind, 2.0)
+    x = vector(op, 1)
+    warm = list(range(3 * CHUNK))
+    for bad in (-1, -(2 ** 70)):
+        for ns in ([bad], [3, bad], warm + [bad]):
+            with pytest.raises(op.error, match="exponent must be a natural number"):
+                list(rl.displacements(op, ns, [x]))
+    for bad in (1.5, 2.0, Fraction(3), "4"):
+        for ns in ([bad], [3, bad], warm + [bad]):
+            with pytest.raises(TypeError):
+                list(rl.displacements(op, ns, [x]))
+
+
+def count_rows(monkeypatch, op):
+    """A list that gains the number of times of every `powers` call on op's class."""
+    calls = []
+    cls = type(op)
+    original = cls.powers
+
+    def counted(self, ns, xs):
+        ns = list(ns)
+        calls.append(len(ns))
+        return original(self, ns, xs)
+
+    monkeypatch.setattr(cls, "powers", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind, rows", [("shift", 17), ("rotation", 17), ("block-64", 32),
+                                        ("block-50", 66)])
+def test_each_distinct_power_is_evaluated_once(monkeypatch, kind, rows):
+    # the shift case is the 20,001-time sweep of the shift inclusion probe:
+    # WeightedBackwardShift(0.9, 16) on the dyadic comb
+    op = build(kind, 2.0)
+    calls = count_rows(monkeypatch, op)
+    ds = list(rl.displacements(op, range(20001), [vector(op, 1)]))
+    assert len(ds) == 20001
+    assert sum(calls) <= rows and max(calls) <= CHUNK
+
+
+@pytest.mark.parametrize("op", [
+    rl.Diagonal((Fraction(1, 7), 0.5 + 0.5j, Fraction(2, 3))),
+    rl.Diagonal((Fraction(1, 7), Fraction(1, CYCLE_CAP + 1))),
+    rl.WeightedBackwardShift(0.9, CYCLE_CAP),
+    build("perturbed-2", 2.0)], ids=["plain-entry", "lcm-over-cap", "shift-over-cap", "perturbed"])
+def test_uncyclic_or_over_cap_takes_the_direct_path(monkeypatch, op):
+    calls = count_rows(monkeypatch, op)
+    ns = list(range(300)) * 2
+    list(rl.displacements(op, ns, [rl.basis_vec(1, op.dim_cap, op.p)]))
+    assert sum(calls) == len(ns)

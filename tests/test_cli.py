@@ -101,6 +101,17 @@ class TestConfigHandling:
         assert err == "error: mesh schedule must be positive\n"
         assert not any(out_dir.iterdir())
 
+    @pytest.mark.parametrize("mesh, at", [(["1e400", "1"], 0), ([1, "-1e400"], 1),
+                                          ([10 ** 400, 1], 0)],
+                             ids=["string", "negative", "integer"])
+    def test_mesh_overflowing_a_float_names_the_entry(self, tmp_path, capsys, mesh, at):
+        cfg = write_cfg(tmp_path, "c.json", {"operator": {"foldN": 2, "mesh": mesh}})
+        out_dir = tmp_path / "o"
+        code, out, err = run(["construct", "--config", cfg, "--out-dir", str(out_dir)], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: 'operator.mesh[{at}]' is too large for a float\n"
+        assert not any(out_dir.iterdir())
+
     def test_bad_json_is_config_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{nope")
