@@ -365,8 +365,7 @@ def cmd_orbit(cfg: Cfg, sink: Sink) -> int:
     sink.json("orbit.json", report.make_record("orbit", cfg.data, payload))
     if sink.want("csv") or sink.want("svg"):
         ns = range(horizon + 1)
-        sink.csv("orbit.csv", ["n", "displacement"],
-                 [[n, repr(d)] for n, d in zip(ns, ds)])
+        sink.csv("orbit.csv", ["n", "displacement"], zip(ns, ds))
         sink.svg("orbit.svg", report.line_plot_svg(
             "Orbit displacement", "n", "distance from start",
             [("displacement", [float(n) for n in ns], ds),

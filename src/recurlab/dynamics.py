@@ -1,20 +1,21 @@
 """Return-time dynamics on truncated sequence space operators.
 
-Every probe reads its distances, one list per time with one per sample, from
-one evaluator, `displacements(op, ns, samples)` (in `opcore`, beside the
-kernels).  It hands the closed-form `powers(ns, X)` the whole stack of samples
-in blocks of at most `opcore.CHUNK` rows, so a time's phases and coefficients
-are built once for every sample, a distance at time n costs the same whether
-n is 7 or 10**40, and scratch memory does not grow with the horizon.  For an
-eventually periodic operator (`op.cycle()`: the shift, the block permutation,
-a diagonal of exact phases) it evaluates each distinct power once and reads
-every later time of the cycle back.  Return sets land in `natset.NatSet` and
-can be fed straight into the density machinery.
+Every probe reads its distances from one evaluator, `displacements(op, ns,
+samples)` (in `opcore`, beside the kernels), as `(times, d, loss)` blocks of
+arrays with one row per time and one column per sample, and reduces them in
+numpy: a return set is `flatnonzero(d < eps)`, a search step the first row
+whose maximum is admissible.  The evaluator hands the closed-form `powers(ns,
+X)` the whole stack of samples in blocks of at most `opcore.CHUNK` rows, so a
+time's phases and coefficients are built once for every sample, a distance at
+time n costs the same whether n is 7 or 10**40, and scratch memory does not
+grow with the horizon.  For an eventually periodic operator (`op.cycle()`: the
+shift, the block permutation, a diagonal of exact phases) it evaluates each
+distinct power once and reads every later time of the cycle back.  Return sets
+land in `natset.NatSet` and can be fed straight into the density machinery.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -43,8 +44,13 @@ def _check_return(eps: float, horizon: int) -> None:
 def orbit_returns(op, x: Vec, eps: float, horizon: int) -> tuple[NatSet, list[float]]:
     """The return set up to the horizon and || T^n x - x || for every n in 0..horizon."""
     _check_return(eps, horizon)
-    ds = list(itertools.chain.from_iterable(displacements(op, range(horizon + 1), [x])))
-    return NatSet(tuple(n for n, d in enumerate(ds) if d < eps), horizon), ds
+    ds = _sweep(op, x, horizon)
+    return NatSet(tuple(np.flatnonzero(ds < eps).tolist()), horizon), ds.tolist()
+
+
+def _sweep(op, x: Vec, horizon: int) -> np.ndarray:
+    """|| T^n x - x || for n = 0..horizon as one array."""
+    return np.concatenate([d[:, 0] for _, d, _ in displacements(op, range(horizon + 1), [x])])
 
 
 def return_set(op, x: Vec, eps: float, horizon: int) -> NatSet:
@@ -132,12 +138,16 @@ def quasi_rigidity_search(op, samples: Sequence[Vec], eps_schedule: Sequence[flo
         chosen = None
         best_d = math.inf
         best_n = 0
-        later = [n for n in cand if n > prev]
-        for n, d in zip(later, map(max, displacements(op, later, samples))):
-            if d < best_d:
-                best_d, best_n = d, n
-            if d <= eps:
-                chosen = (n, d)
+        for block, d, _ in displacements(op, cand[bisect_right(cand, prev):], samples):
+            worst = d.max(axis=1)
+            ok = worst <= eps
+            stop = int(ok.argmax()) if ok.any() else len(worst) - 1
+            # the best defect up to the first admissible time, the first minimum on ties
+            i = int(worst[: stop + 1].argmin())
+            if worst[i] < best_d:
+                best_d, best_n = float(worst[i]), int(block[i])
+            if ok[stop]:
+                chosen = (int(block[stop]), float(worst[stop]))
                 break
         if chosen is None:
             return QrFailure(step, eps, best_d, best_n, floor)
@@ -217,7 +227,9 @@ def polynomial_apply(op, coeffs: Sequence[complex], x: Vec) -> tuple[Vec, float]
     """(sum_j c_j T^j) x from one block of closed-form powers; returns the truncation loss too."""
     if not coeffs:
         raise DynamicsError("empty polynomial")
-    rows = op.powers(range(len(coeffs)), stack(op, [x]))[:, 0]
+    xs = stack(op, [x])
+    rows = op.powers(range(len(coeffs)), xs)[:, 0]
+    losses = op.losses(range(len(coeffs)), xs)[:, 0].tolist()
     acc = np.zeros_like(x.coords)
     loss = 0.0
     for j, c in enumerate(coeffs):
@@ -225,7 +237,7 @@ def polynomial_apply(op, coeffs: Sequence[complex], x: Vec) -> tuple[Vec, float]
         if cj == 0:
             continue
         acc = acc + cj * rows[j]
-        loss += abs(cj) * op.loss(j, x)
+        loss += abs(cj) * losses[j]
     return Vec(acc, x.p), loss
 
 
@@ -268,16 +280,15 @@ def commutant_return_inclusion(op, coeffs: Sequence[complex], x: Vec,
     if scale <= 0:
         raise DynamicsError("polynomial norm bound vanished")
     sx, loss = polynomial_apply(op, coeffs, x)
-    tight = eps / scale
+    # the tight return times of x, then S x moved by each until the first violation
+    returns = np.flatnonzero(_sweep(op, x, horizon) < eps / scale)
     first = None
-    count = 0
-    times = range(horizon + 1)
-    ds = itertools.chain.from_iterable(displacements(op, times, [x]))
-    # the tight return times, read twice: to list them and to move S x by them
-    returns, again = itertools.tee(n for n, d in zip(times, ds) if d < tight)
-    for n, d in zip(returns, itertools.chain.from_iterable(displacements(op, again, [sx]))):
-        count += 1
-        if not d < eps:
-            first = n
+    count = len(returns)
+    checked = 0
+    for times, d, _ in displacements(op, returns, [sx]):
+        bad = np.flatnonzero(~(d[:, 0] < eps))
+        if bad.size:
+            first, count = int(times[bad[0]]), checked + int(bad[0]) + 1
             break
+        checked += len(times)
     return InclusionReport(first is None, first, horizon + 1, scale, count, loss)

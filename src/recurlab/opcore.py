@@ -14,15 +14,14 @@ protocol:
   stack of samples (`stack(op, samples)`) as a `(len(ns), s, dim_cap)` array,
   the work that does not depend on x done once per block; the one kernel
   every probe reads through `displacements(op, ns, samples)`;
-- `power(n, x)`: its one-time, one-sample case, an `Applied(vec, loss)` pair
-  with `loss(n, x)` beside it, where `loss` upper-bounds whatever mass the
-  truncation discarded (exactly zero for maps that never push coordinates
-  past dim_cap);
+- `losses(ns, X)`: beside it, a `(len(ns), s)` array that upper-bounds the
+  mass of T^n x the truncation discarded (zero for maps that never push
+  coordinates past dim_cap); `power(n, x)` (an `Applied(vec, loss)` pair)
+  and `loss(n, x)` are their one-time, one-sample cases;
 - `apply(x)`: one step, `power(1, x)`;
-- `cycle()`: `(start, period)` when `powers` gives bit-identical rows for
-  all times n, n' >= start with n = n' mod period (T^(start + period) =
-  T^start exactly), `None` when no such cycle is known; `displacements`
-  then evaluates each distinct power once;
+- `cycle()`: `(start, period)` when `powers` and `losses` give bit-identical
+  rows for all times n, n' >= start with n = n' mod period, `None` when no
+  such cycle is known; `displacements` then evaluates each distinct power once;
 - `descriptor()`: the JSON-ready identity of the build;
 - `norm_bound()`: a conservative upper bound on the operator norm.
 
@@ -212,10 +211,11 @@ def distance(x: Vec, y: Vec) -> float:
 
 
 def row_norms(rows: np.ndarray, p: float) -> np.ndarray:
-    """The p-norm of every row (last axis) of a coordinate array."""
+    """The p-norm of every row (last axis) of a coordinate array, summed in C
+    order whatever its layout: numpy sums in the order of the memory layout."""
     if rows.shape[-1] == 0:
         return np.zeros(rows.shape[:-1])
-    return np.linalg.norm(rows, ord=p, axis=-1)
+    return np.linalg.norm(np.ascontiguousarray(rows), ord=p, axis=-1)
 
 
 # rows (times x samples) per kernel call: scratch memory stays at a few
@@ -225,15 +225,17 @@ def row_norms(rows: np.ndarray, p: float) -> np.ndarray:
 CHUNK = 64
 
 
-def blocks(ns: Iterable[int], size: int = CHUNK) -> Iterator[list[int]]:
-    """The times of ns in order, in lists of at most size, also cut where they cross
-    2^62: one huge time must not send its neighbours down the Python-int path."""
+def blocks(ns: Iterable[int], size: int = CHUNK, most: int = 0) -> Iterator[list[int]]:
+    """The times of ns in order, in lists of at most size, the size doubling up to most
+    when that is larger; also cut where they cross 2^62: one huge time must not send
+    its neighbours down the Python-int path."""
     times = iter(ns)
     while block := list(itertools.islice(times, size)):
         if max(block) >= _I64_SAFE > min(block):
             yield from (list(run) for _, run in itertools.groupby(block, _I64_SAFE.__gt__))
         else:
             yield block
+        size = max(size, min(2 * size, most))
 
 
 def stack(op, samples: Sequence[Vec]) -> np.ndarray:
@@ -243,61 +245,81 @@ def stack(op, samples: Sequence[Vec]) -> np.ndarray:
     return np.array([x.coords for x in samples], dtype=complex).reshape(len(samples), op.dim_cap)
 
 
-# the largest start + period whose row norms `displacements` keeps, so a
-# folded sweep holds at most CYCLE_CAP floats per sample
-CYCLE_CAP = 1 << 16
+# the largest start + period whose (d, loss) rows `displacements` keeps, so a
+# folded sweep holds at most 2 * CYCLE_CAP floats per sample; and the times
+# of a folded block, all folded in one numpy step
+CYCLE_CAP, FOLD_BLOCK = 1 << 16, 1 << 12
 
 
-def displacements(op, ns: Iterable[int], samples: Sequence[Vec]) -> Iterator[list[float]]:
-    """[|| T^n x - x || for x in samples] for each n of ns in order.
+def displacements(op, ns: Iterable[int], samples: Sequence[Vec]) -> Iterator[tuple]:
+    """(times, d, loss) for each block of ns in order: the times as an array (int64,
+    or Python ints past 2^62), and (len(times), s) float arrays with d[t, i] =
+    || T^n x_i - x_i || and loss[t, i] = `op.loss(n, x_i)` at n = times[t].
 
-    Each `powers` call takes a block of times and the whole stack, at most CHUNK
-    rows in all.  When `op.cycle()` gives (start, period) with start + period
-    at most CYCLE_CAP, each time is first folded to n if n < start, else to
-    start + (n - start) mod period, and `powers` sees only the folded times not
-    met before: their row norms are kept and read back for every time that
-    folds onto them.  Lazy: a caller that stops early leaves at most one block
-    unused.
+    Each `powers` call takes a block of times and the whole stack, at most
+    CHUNK rows in all.  When `op.cycle()` gives (start, period) with start +
+    period at most CYCLE_CAP, blocks are FOLD_BLOCK times long and each time is
+    folded to n if n < start, else to start + (n - start) mod period; `powers`
+    and `losses` see only the folded times not met before, and their rows are
+    kept and read back for every time that folds onto them.  Otherwise `losses`
+    takes spans of blocks that double from one block on.  Lazy: a caller that
+    stops early leaves at most one span unused.
     """
     xs = stack(op, samples)
-    times = blocks(ns, max(1, CHUNK // max(1, len(xs))))
+    rows = max(1, CHUNK // max(1, len(xs)))
     cycle = op.cycle()
     if cycle is None or sum(cycle) > CYCLE_CAP:
-        for block in times:
-            yield from _displaced(op, block, xs).tolist()
+        # losses on spans of blocks that double up to FOLD_BLOCK times (fewer when
+        # the stack is wide), so a long sweep seldom pays their fixed cost and one
+        # that stops in its first block computes none past it
+        most = max(rows, FOLD_BLOCK * CHUNK // max(1, len(xs) * op.dim_cap))
+        for span in blocks(ns, rows, most):
+            loss = op.losses(span, xs)
+            for i in range(0, len(span), rows):
+                block = span[i: i + rows]
+                d = _distances(op, block, xs)  # first: `powers` checks the times
+                times = np.array(block, dtype=object if max(block) >= _I64_SAFE else np.int64)
+                yield times, d, loss[i: i + rows]
         return
     start, period = cycle
     known = np.zeros(start + period, dtype=bool)
-    norms = np.empty((start + period, len(xs)))
-    for block in times:
-        keys = _fold(op, block, xs, start, period)
+    kept = np.empty((2, start + period, len(xs)))
+    spans = ((ns[i: i + FOLD_BLOCK] for i in range(0, len(ns), FOLD_BLOCK))
+             if isinstance(ns, (range, np.ndarray)) else blocks(ns, FOLD_BLOCK))
+    for block in spans:
+        times, keys = _fold(op, block, xs, start, period)
         fresh = ~known[keys]
         if fresh.any():
             # a Python set, not np.unique: its first call adds 1.6 MB of resident memory
             new = sorted(set(keys[fresh].tolist()))
-            norms[new] = _displaced(op, new, xs)
+            for i in range(0, len(new), rows):
+                part = new[i: i + rows]
+                kept[:, part] = _distances(op, part, xs), op.losses(part, xs)
             known[new] = True
-        yield from norms[keys].tolist()
+        yield times, kept[0, keys], kept[1, keys]
 
 
-def _displaced(op, ns: list[int], xs: np.ndarray) -> np.ndarray:
+def _distances(op, ns: list[int], xs: np.ndarray) -> np.ndarray:
     """|| T^n x - x || as a (len(ns), s) array, from one `powers` call."""
     rows = op.powers(ns, xs)
-    rows -= xs  # in place: the layout `powers` returned sets numpy's summation order
+    rows -= xs
     return row_norms(rows, op.p)
 
 
-def _fold(op, block: list[int], xs: np.ndarray, start: int, period: int) -> np.ndarray:
-    """The index of each time of block on the cycle (start, period), as an intp array.
+def _fold(op, block, xs: np.ndarray, start: int, period: int) -> tuple[np.ndarray, np.ndarray]:
+    """The block's times as an array, and the index of each on the cycle (start, period).
 
-    Natural int64 times fold in numpy.  Any other block goes through the
-    operator's own time check first, so a negative or non-integral time raises
-    as `powers` would, rather than folding onto the cycle.
+    Natural int64 times fold in numpy, a range without a per-time list.  Any
+    other block goes through the operator's own time check first, so a negative
+    or non-integral time raises as `powers` would, rather than folding.
     """
-    n = np.array(block)
+    if isinstance(block, range) and max(abs(block.start), abs(block.stop)) < _I64_SAFE:
+        n = np.arange(block.start, block.stop, block.step)
+    else:
+        n = np.asarray(block)
     if n.dtype != np.int64 or n.ndim != 1 or n.min() < 0:
         n = np.array(op._times(block, xs), dtype=object)
-    return np.minimum(n, (n - start) % period + start).astype(np.intp, copy=False)
+    return n, np.minimum(n, (n - start) % period + start).astype(np.intp, copy=False)
 
 
 class Applied(NamedTuple):
@@ -327,14 +349,18 @@ class Operator:
         return times
 
     def power(self, n: int, x: Vec) -> Applied:
-        return Applied(Vec(self.powers([n], stack(self, [x]))[0, 0], x.p), self.loss(n, x))
+        xs = stack(self, [x])
+        return Applied(Vec(self.powers([n], xs)[0, 0], x.p), float(self.losses([n], xs)[0, 0]))
 
     def apply(self, x: Vec) -> Applied:
         return self.power(1, x)
 
     def loss(self, n: int, x: Vec) -> float:
-        """Upper bound on the mass of T^n x the truncation discards: none by default."""
-        return 0.0
+        return float(self.losses([n], stack(self, [x]))[0, 0])
+
+    def losses(self, ns: Sequence[int], xs: np.ndarray) -> np.ndarray:
+        """The truncation discards nothing by default."""
+        return np.zeros((len(ns), len(xs)))
 
     def cycle(self) -> Optional[tuple[int, int]]:
         """(start, period) with T^n = T^(n + period) bit for bit for n >= start; none by default."""
@@ -491,11 +517,12 @@ class BlockPermutationIsometry(Operator):
         # a cut block has nothing to gather from before its start
         return _gather(xs, np.where(src >= lo, src, d))
 
-    def loss(self, n: int, x: Vec) -> float:
+    def losses(self, ns: Iterable[int], xs: np.ndarray) -> np.ndarray:
         """Norm of the coordinates of cut blocks that n steps push past dim_cap."""
-        self.check(x)
-        gone = self._cut & (np.arange(1, self.dim_cap + 1) + min(n, self.dim_cap) > self.dim_cap)
-        return Vec(np.where(gone, x.coords, 0), x.p).norm()
+        d = self.dim_cap
+        walk = np.array([min(n, d) for n in self._times(ns, xs)], dtype=np.int64)[:, None]
+        gone = self._cut & (np.arange(1, d + 1) + walk > d)
+        return row_norms(np.where(gone[:, None], xs, 0), self.p)
 
     def cycle(self) -> tuple[int, int]:
         """Periodic in the whole blocks; a cut block is empty from n = dim_cap on."""

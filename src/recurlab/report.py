@@ -71,11 +71,11 @@ def write_json(path: str, record: dict) -> None:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """csv writes None as an empty field and a float as its repr."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    for row in rows:
-        w.writerow(["" if v is None else v for v in row])
+    w.writerows(rows)
     atomic_write_text(path, buf.getvalue())
 
 

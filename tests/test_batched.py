@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import recurlab as rl
-from recurlab.opcore import CHUNK, CYCLE_CAP, _block_of, blocks, row_norms
+from recurlab.opcore import CHUNK, CYCLE_CAP, FOLD_BLOCK, _block_of, blocks, row_norms
 
 P_KINDS = {"l1": 1.0, "l2": 2.0, "l3": 3.0, "sup": rl.SUP}
 
@@ -212,6 +212,22 @@ def test_powers_rows_match_scalar_oracle(kind, pk, data):
             assert applied.loss == loss
 
 
+@pytest.mark.parametrize("fold", [1, 2, 3])
+def test_losses_equal_the_scalar_oracle_bit_for_bit(fold):
+    # the long double quotients of the tail, and the int/int fallback where they
+    # sit too close to a float rounding boundary, must give the scalar loss
+    # exactly: every time 0..3000 (a few dozen need the fallback), the ladder
+    # times, huge times, and a shallow operator whose tail saturates
+    rs = np.random.RandomState(fold)
+    for op in (OPS[f"perturbed-{fold}", "l2"], rl.build_operator(fold, [1], dim_cap=16)):
+        x = vector(op, 2)
+        big = [int(v) << int(s)
+               for v, s in zip(rs.randint(1, 2 ** 62, 200), rs.randint(0, 400, 200))]
+        for ns in (list(range(3001)), time_pool(op), big + [10 ** 299, 10 ** 301, 3 ** 2000]):
+            got = op.losses(ns, rl.stack(op, [x]))[:, 0]
+            assert got.tolist() == [old_tail_loss(op, x.norm(), n) if n else 0.0 for n in ns]
+
+
 @pytest.mark.parametrize("pk", P_KINDS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_stacked_rows_equal_per_sample_rows(kind, pk):
@@ -236,34 +252,55 @@ def test_empty_block_gives_no_rows(kind, pk):
     assert rows.shape == (2, 0, op.dim_cap)
 
 
+def sweep(op, ns, samples):
+    """The (times, d, loss) blocks of `displacements`, each stacked into one array."""
+    blocks_ = list(rl.displacements(op, ns, samples))
+    for times, d, loss in blocks_:
+        assert times.ndim == 1 and d.shape == loss.shape == (len(times), len(samples))
+        assert d.dtype == loss.dtype == np.float64
+    if not blocks_:
+        return [], np.zeros((0, len(samples))), np.zeros((0, len(samples)))
+    times, d, loss = zip(*blocks_)
+    return [int(n) for n in np.concatenate(times)], np.concatenate(d), np.concatenate(loss)
+
+
 @pytest.mark.parametrize("pk", P_KINDS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_displacements_over_more_than_one_chunk(kind, pk):
     op = OPS[kind, pk]
     xs = [vector(op, seed) for seed in (7, 1, 4)]
     ns = list(range(CHUNK + 37))
-    got = list(rl.displacements(op, ns, xs))
-    assert len(got) == len(ns)
-    assert all(len(ds) == len(xs) and all(isinstance(d, float) for d in ds) for ds in got)
-    for n, ds in zip(ns, got):
-        for x, d in zip(xs, ds):
-            want = rl.Vec(oracle(op, n, x)[0] - x.coords, x.p).norm()
-            assert abs(d - want) <= 1e-12 * x.norm()
-    assert got[0] == [0.0] * len(xs)
+    times, got, loss = sweep(op, ns, xs)
+    assert times == ns
+    for n, ds, ls in zip(ns, got, loss):
+        for x, d, l in zip(xs, ds, ls):
+            want, want_loss = oracle(op, n, x)
+            assert abs(d - rl.Vec(want - x.coords, x.p).norm()) <= 1e-12 * x.norm()
+            assert l == want_loss
+    assert got[0].tolist() == [0.0] * len(xs)
 
 
 @pytest.mark.parametrize("pk", P_KINDS)
-@pytest.mark.parametrize("kind", ["perturbed-2", "diagonal"])
-@settings(max_examples=20)
-@given(seed=st.integers(0, 2 ** 16), ns=st.lists(st.integers(0, 3000), min_size=1, max_size=5))
-def test_distance_equals_evaluator_bit_for_bit(kind, pk, seed, ns):
-    # Vec.norm, and so distance, takes the evaluator's row norms: a dense
-    # vector gets one float for its displacement, whichever path reads it
+@pytest.mark.parametrize("kind", ["perturbed-2", "diagonal", "shift", "block-64", "block-50"])
+@settings(max_examples=20, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=3),
+       ns=st.lists(st.integers(0, 3000) | st.sampled_from([0, 1, 2, 15, 16, 17, 49, 50, 51]),
+                   min_size=1, max_size=5))
+def test_distance_equals_evaluator_bit_for_bit(kind, pk, seeds, ns):
+    # Vec.norm, and so distance, takes the evaluator's row norms, summed in one
+    # layout: every sample of a stack gets one float for its displacement,
+    # whichever path reads it, though the gathers of the shift and the
+    # permutation return the samples innermost
     op = OPS[kind, pk]
-    rs = np.random.RandomState(seed)
-    x = rl.Vec(rs.standard_normal(op.dim_cap) + 1j * rs.standard_normal(op.dim_cap), op.p)
-    for n, (d,) in zip(ns, rl.displacements(op, ns, [x])):
-        assert rl.distance(op.power(n, x).vec, x) == d
+    xs = [rl.basis_vec(1, op.dim_cap, op.p), rl.dyadic_comb(op.dim_cap, op.p)] + [
+        vector(op, seed) for seed in seeds]
+    for stacked in (xs[:1], xs[:2], xs[:3], xs[2:]):
+        times, d, loss = sweep(op, ns, stacked)
+        assert times == ns
+        for n, ds, ls in zip(ns, d, loss):
+            for x, got, l in zip(stacked, ds, ls):
+                assert rl.distance(op.power(n, x).vec, x) == got
+                assert op.loss(n, x) == l
 
 
 @pytest.mark.parametrize("kind", ["perturbed-2", "rotation", "diagonal", "shift", "block-50"])
@@ -274,7 +311,9 @@ def test_block_straddling_2_62_matches_scalar_oracle(kind):
     assert [len(b) for b in blocks(ns)] == [30, 3, 2]
     xs = [vector(op, seed) for seed in (0, 1, 2)]
     rows = op.powers(ns, rl.stack(op, xs))
-    for n, row, ds in zip(ns, rows, rl.displacements(op, ns, xs)):
+    times, dists, _ = sweep(op, ns, xs)
+    assert times == ns
+    for n, row, ds in zip(ns, rows, dists):
         for x, got, d in zip(xs, row, ds):
             want = oracle(op, n, x)[0]
             scale = max(np.max(np.abs(want)), np.max(np.abs(x.coords)))
@@ -315,7 +354,7 @@ def test_head_defects_match_the_scalar_oracle(default_op):
     op = default_op
     ns = [n for n in time_pool(op) if n >= 1]
     alpha = np.array([e.alpha for e in op.grid.entries])
-    defects = [max(ds) for ds in rl.displacements(op, ns, op.head_basis())]
+    defects = sweep(op, ns, op.head_basis())[1].max(axis=1).tolist()
     for n, got in zip(ns, defects):
         coeffs = np.array([old_pert_coeff(op, k, n) for k in range(op.head + 1, op.levels + 1)])
         per_entry = np.abs(coeffs[:, None] * alpha)
@@ -392,19 +431,16 @@ def test_cycle_is_exact_and_folding_is_bit_for_bit(kind, pk, data):
     times = edges + data.draw(st.lists(st.integers(0, 3000) | st.integers(0, 10 ** 45),
                                        max_size=CHUNK + 10), label="times")
     times = data.draw(st.permutations(times), label="order")
-    got = np.array(list(rl.displacements(op, times, samples)))
+    got_times, got, loss = sweep(op, times, samples)
+    assert got_times == times
     want = np.array([one_time_displacements(op, t, xs) for t in times])
     assert got.tobytes() == want.tobytes()
+    assert loss.tobytes() == np.array([op.losses([t], xs)[0] for t in times]).tobytes()
 
 
 def one_time_displacements(op, n, xs):
-    """row_norms(T^n X - X) from a one-time `powers` call.  The subtraction is in
-    place, as in the evaluator: it keeps the memory layout `powers` returned
-    (samples innermost for the gathers of the shift and the permutation), and
-    that layout sets the order in which numpy sums each row."""
-    rows = op.powers([n], xs)
-    rows -= xs
-    return row_norms(rows, op.p)[0]
+    """row_norms(T^n X - X) from a one-time `powers` call."""
+    return row_norms(op.powers([n], xs) - xs, op.p)[0]
 
 
 @pytest.mark.parametrize("kind", CYCLIC + ["diagonal", "perturbed-2"])
@@ -443,12 +479,31 @@ def count_rows(monkeypatch, op):
                                         ("block-50", 66)])
 def test_each_distinct_power_is_evaluated_once(monkeypatch, kind, rows):
     # the shift case is the 20,001-time sweep of the shift inclusion probe:
-    # WeightedBackwardShift(0.9, 16) on the dyadic comb
+    # WeightedBackwardShift(0.9, 16) on the dyadic comb; a range is folded
+    # without a per-time list, a list FOLD_BLOCK times at a time
     op = build(kind, 2.0)
-    calls = count_rows(monkeypatch, op)
-    ds = list(rl.displacements(op, range(20001), [vector(op, 1)]))
-    assert len(ds) == 20001
-    assert sum(calls) <= rows and max(calls) <= CHUNK
+    for ns in (range(20001), list(range(20001))):
+        calls = count_rows(monkeypatch, op)
+        got = list(rl.displacements(op, ns, [vector(op, 1)]))
+        assert [n for times, _, _ in got for n in times.tolist()] == list(range(20001))
+        assert len(got) <= -(-20001 // FOLD_BLOCK)
+        assert sum(calls) <= rows and max(calls) <= CHUNK
+
+
+def test_direct_path_losses_come_in_doubling_spans(monkeypatch):
+    # the yielded blocks keep CHUNK rows; losses, whose cost is mostly fixed per
+    # call, take spans that double from one block, up to FOLD_BLOCK times
+    op = build("perturbed-2", 2.0)
+    sizes = []
+    losses = type(op).losses
+    monkeypatch.setattr(type(op), "losses",
+                        lambda self, ns, xs: sizes.append(len(ns)) or losses(self, ns, xs))
+    got = list(rl.displacements(op, range(3001), [vector(op, 1)]))
+    assert [len(times) for times, _, _ in got] == [CHUNK] * 46 + [57]
+    assert sizes == [64, 128, 256, 512, 1024, 1017]
+    sizes.clear()
+    next(rl.displacements(op, range(10 ** 5), [vector(op, 1)]))
+    assert sizes == [64]
 
 
 @pytest.mark.parametrize("op", [

@@ -61,6 +61,22 @@ class TestDeterminism:
         assert set(files) == {"orbit.json", "orbit.csv", "orbit.svg"}
         assert files == slurp_dir(dirs[1])
 
+    def test_orbit_csv_rows_are_time_and_float_repr(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "o.json", {
+            "operator": OP, "vector": {"kind": "basis", "index": 4},
+            "eps": 0.05, "horizon": 300})
+        out = str(tmp_path / "o")
+        assert run(["orbit", "--config", cfg, "--out-dir", out, "--format", "csv"], capsys)[0] == 0
+        op = rl.build_operator(2, dim_cap=64)
+        _, ds = rl.orbit_returns(op, rl.basis_vec(4, 64), 0.05, 300)
+        want = "n,displacement\n" + "".join(f"{n},{d!r}\n" for n, d in enumerate(ds))
+        assert open(os.path.join(out, "orbit.csv"), newline="").read() == want
+
+    def test_write_csv_spells_none_empty_and_floats_by_repr(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        report.write_csv(path, ["a", "b", "c"], [[1, None, 0.1], (2, 1e-17, "x,y"), []])
+        assert open(path, newline="").read() == 'a,b,c\n1,,0.1\n2,1e-17,"x,y"\n\n'
+
 
 class TestConfigHandling:
     def test_unknown_key_reports_full_path(self, tmp_path, capsys):

@@ -279,6 +279,24 @@ class TestCommutantReturnInclusion:
         assert rep.holds
         assert rep.return_count == 1  # only n = 0 returns at the tight radius
 
+    @pytest.mark.parametrize("den", [2 ** 16 - 1, 70717], ids=["folded", "direct"])
+    def test_first_violation_of_an_understated_bound(self, monkeypatch, den):
+        # with the norm bound of S = 10 T understated 100-fold, S x leaves eps
+        # while x is still within the tight radius: the report names the first
+        # such time, thousands of returns in (past the first block of the
+        # folded sweep and of the direct one), and counts the returns up to it
+        monkeypatch.setattr(rl.Diagonal, "norm_bound", lambda self: 0.01)
+        op = rl.diagonal_rotation([Fraction(1, den)])
+        x = rl.basis_vec(1, 1)
+        rep = rl.commutant_return_inclusion(op, [0, 10.0], x, 5.0, 6000)
+        sx, _ = rl.polynomial_apply(op, [0, 10.0], x)
+        _, dx = rl.orbit_returns(op, x, 5.0, 6000)
+        _, dsx = rl.orbit_returns(op, sx, 5.0, 6000)
+        returns = [n for n in range(6001) if dx[n] < 5.0 / rep.scale]
+        first = next(n for n in returns if not dsx[n] < 5.0)
+        assert not rep.holds and rep.first_violation == first > 5000
+        assert rep.return_count == returns.index(first) + 1
+
     def test_vanishing_polynomial_rejected(self, default_op):
         e1 = rl.basis_vec(1, default_op.dim_cap)
         with pytest.raises(dyn.DynamicsError):

@@ -214,6 +214,28 @@ class TestBlockPermutationIsometry:
         assert applied.vec.norm() == 0.0
         assert applied.loss == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, rl.SUP], ids=["l1", "l2", "l3", "sup"])
+    def test_evaluator_loss_is_the_dropped_mass(self, p):
+        # cap 50 cuts the block [33, 64]: the permutation keeps the norm of
+        # everything but the mass it pushes past the cap, which the evaluator's
+        # loss reports, so ||T^n x||^p + loss^p = ||x||^p (max form for sup)
+        op = rl.BlockPermutationIsometry(50, p)
+        rs = np.random.RandomState(50)
+        samples = [rl.Vec(rs.standard_normal(50) + 1j * rs.standard_normal(50), p),
+                   rl.dyadic_comb(50, p), rl.basis_vec(33, 50, p), rl.basis_vec(50, 50, p),
+                   rl.basis_vec(1, 50, p)]
+        xs = rl.stack(op, samples)
+        norms = rl.opcore.row_norms(xs, p)
+        times = list(range(200)) + [2 ** 62 + 7, 10 ** 40]
+        for block, _, loss in rl.displacements(op, times, samples):
+            kept = rl.opcore.row_norms(op.powers(block.tolist(), xs), p)
+            want = np.broadcast_to(norms, kept.shape)
+            if p == rl.SUP:
+                np.testing.assert_allclose(np.maximum(kept, loss), want, rtol=1e-12, atol=0)
+            else:
+                np.testing.assert_allclose(kept ** p + loss ** p, want ** p, rtol=1e-12, atol=0)
+        assert op.loss(0, samples[0]) == 0.0 and op.loss(60, samples[2]) == 1.0
+
     def test_power_loss_accumulates_like_iteration(self):
         op = rl.BlockPermutationIsometry(6, 2.0)
         x = rl.vec_of([0, 0, 0, 0, 1, 1], dim_cap=6)

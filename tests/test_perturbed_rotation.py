@@ -275,9 +275,11 @@ class TestTruncationLoss:
     T^n x must have norm at most the shallow loss.
     """
 
-    @pytest.mark.parametrize("p", [1.0, 2.0, rl.SUP], ids=["l1", "l2", "sup"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, rl.SUP], ids=["l1", "l2", "l3", "sup"])
     @pytest.mark.parametrize("fold", [1, 2, 3])
     def test_deep_tail_within_shallow_loss(self, fold, p):
+        # || T_deep^n x - T^n x || <= loss(n, x), the loss read from the
+        # evaluator beside the distance, for x on the built levels
         shallow = pr.build_operator(fold, dim_cap=80, p=p)
         levels = shallow.levels
         deep = pr.build_operator(fold, dim_cap=80, p=p, min_levels=levels + 6)
@@ -285,17 +287,21 @@ class TestTruncationLoss:
         rs = np.random.RandomState(fold)
         c = np.zeros(80, dtype=np.complex128)
         c[:levels] = rs.standard_normal(levels) + 1j * rs.standard_normal(levels)
-        times = set(range(1, 200))
+        times = set(range(3001)) | {10 ** 40}
         for j in range(1, levels + 1):
             m = shallow.modulus.m(j)
             times |= {k * m + d for k in (1, 2, 3) for d in (-1, 0, 1) if k * m + d >= 1}
         # e_1 meets its unit coordinate functionals with equality in Holder,
         # so in the 1-norm the bound is attained up to m_L / m_{L+1}
-        for x in (rl.Vec(c, p), rl.basis_vec(1, 80, p)):
-            for n in sorted(times):
-                near, far = shallow.power(n, x), deep.power(n, x)
-                assert np.array_equal(near.vec.coords[:levels], far.vec.coords[:levels])
-                assert rl.Vec(far.vec.coords[levels:], p).norm() <= near.loss
+        samples = [rl.Vec(c, p), rl.basis_vec(1, 80, p), rl.basis_vec(levels, 80, p)]
+        xs = rl.stack(shallow, samples)
+        checked = 0
+        for block, _, loss in rl.displacements(shallow, sorted(times), samples):
+            near, far = shallow.powers(block.tolist(), xs), deep.powers(block.tolist(), xs)
+            assert np.array_equal(near[..., :levels], far[..., :levels])
+            assert np.all(rl.opcore.row_norms(far - near, p) <= loss)
+            checked += len(block)
+        assert checked == len(times)
 
 
 class TestBuildOperator:
@@ -520,6 +526,23 @@ class TestNonRecurrenceScan:
     def test_empty_candidates_rejected(self, default_op):
         with pytest.raises(pr.ConstructionError):
             pr.non_recurrence_scan(default_op, [])
+
+    def test_equal_rows_keep_the_earliest_time(self, default_op):
+        # c*m_L + r for consecutive c agree mod every built modulus, so their
+        # rows are bit-identical: the scan and the search keep the earliest,
+        # within a block and across the blocks of the three-sample head basis
+        op = default_op
+        m, r = op.modulus.m(op.levels), 12345
+        times = [c * m + r for c in range(5, 75)]
+        xs = rl.stack(op, op.head_basis())
+        rows = op.powers(times[:2], xs)
+        assert rows[0].tobytes() == rows[1].tobytes()
+        for cands in (times[:2], times):
+            assert pr.non_recurrence_scan(op, cands).argmin == times[0]
+            failed = rl.quasi_rigidity_search(op, op.head_basis(), [1e-9], cands)
+            assert not failed.found and failed.best_time == times[0]
+            found = rl.quasi_rigidity_search(op, op.head_basis(), [failed.best_defect], cands)
+            assert found.found and found.times == (times[0],)
 
 
 class TestLatticeCandidates:
