@@ -323,15 +323,9 @@ def cmd_rigidity(cfg: Cfg, sink: Sink) -> int:
         samples = [_normalized(vector_from(s, op)) for s in cfg.subs("samples")]
     else:
         samples = op.head_basis() + [_normalized(opcore.dyadic_comb(op.dim_cap, op.p))]
-    rows = []
-    worst = 0.0
-    all_within = True
-    for j in range(1, j_max + 1):
-        r = pr.rigidity_defect(op, j, samples)
-        worst = max(worst, r.defect)
-        if r.defect > r.bound + 1e-12:
-            all_within = False
-        rows.append(r)
+    rows = [pr.rigidity_defect(op, j, samples) for j in range(1, j_max + 1)]
+    worst = max([0.0] + [r.defect for r in rows])
+    all_within = not any(r.defect > r.bound + 1e-12 for r in rows)
     payload = {"jMax": j_max, "samples": len(samples), "allWithinBound": all_within,
                "points": [{"j": r.level, "returnTime": str(op.modulus.m(r.level)),
                            "defect": r.defect, "bound": r.bound,

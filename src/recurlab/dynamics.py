@@ -1,17 +1,15 @@
 """Return-time dynamics on truncated sequence space operators.
 
-Every probe reads its distances from one evaluator, `displacements(op, ns,
-samples)` (in `opcore`, beside the kernels), as `(times, d, loss)` blocks of
-arrays with one row per time and one column per sample, and reduces them in
-numpy: a return set is `flatnonzero(d < eps)`, a search step the first row
-whose maximum is admissible.  The evaluator hands the closed-form `powers(ns,
-X)` the whole stack of samples in blocks of at most `opcore.CHUNK` rows, so a
-time's phases and coefficients are built once for every sample, a distance at
-time n costs the same whether n is 7 or 10**40, and scratch memory does not
-grow with the horizon.  For an eventually periodic operator (`op.cycle()`: the
-shift, the block permutation, a diagonal of exact phases) it evaluates each
-distinct power once and reads every later time of the cycle back.  Return sets
-land in `natset.NatSet` and can be fed straight into the density machinery.
+Every probe reduces, in numpy, the `(times, d)` blocks of one evaluator,
+`displacements(op, ns, samples)` (in `opcore`, beside the kernels): d has one
+row per time and one column per sample, so a return set is
+`flatnonzero(d < eps)` and a search step the first row whose maximum is
+admissible.  The evaluator hands the closed-form `powers(ns, X)` the whole
+stack of samples at most `opcore.CHUNK` rows at a time, so a distance at time
+n costs the same whether n is 7 or 10**40 and scratch memory does not grow
+with the horizon; for an eventually periodic operator (`op.cycle()`) it
+evaluates each distinct power once.  Return sets land in `natset.NatSet`, the
+input of the density machinery.
 """
 
 from __future__ import annotations
@@ -44,13 +42,13 @@ def _check_return(eps: float, horizon: int) -> None:
 def orbit_returns(op, x: Vec, eps: float, horizon: int) -> tuple[NatSet, list[float]]:
     """The return set up to the horizon and || T^n x - x || for every n in 0..horizon."""
     _check_return(eps, horizon)
-    ds = _sweep(op, x, horizon)
+    ds = _sweep(op, range(horizon + 1), x)
     return NatSet(tuple(np.flatnonzero(ds < eps).tolist()), horizon), ds.tolist()
 
 
-def _sweep(op, x: Vec, horizon: int) -> np.ndarray:
-    """|| T^n x - x || for n = 0..horizon as one array."""
-    return np.concatenate([d[:, 0] for _, d, _ in displacements(op, range(horizon + 1), [x])])
+def _sweep(op, ns: Iterable[int], x: Vec) -> np.ndarray:
+    """|| T^n x - x || for the n of ns (at least one) as one array."""
+    return np.concatenate([d[:, 0] for _, d in displacements(op, ns, [x])])
 
 
 def return_set(op, x: Vec, eps: float, horizon: int) -> NatSet:
@@ -135,25 +133,20 @@ def quasi_rigidity_search(op, samples: Sequence[Vec], eps_schedule: Sequence[flo
     defects: list[float] = []
     prev = 0
     for step, eps in enumerate(eps_list, start=1):
-        chosen = None
-        best_d = math.inf
-        best_n = 0
-        for block, d, _ in displacements(op, cand[bisect_right(cand, prev):], samples):
+        best_d, best_n = math.inf, 0
+        for block, d in displacements(op, cand[bisect_right(cand, prev):], samples):
             worst = d.max(axis=1)
-            ok = worst <= eps
-            stop = int(ok.argmax()) if ok.any() else len(worst) - 1
-            # the best defect up to the first admissible time, the first minimum on ties
-            i = int(worst[: stop + 1].argmin())
+            ok = np.flatnonzero(worst <= eps)
+            if ok.size:
+                break
+            i = int(worst.argmin())  # the first minimum on ties
             if worst[i] < best_d:
                 best_d, best_n = float(worst[i]), int(block[i])
-            if ok[stop]:
-                chosen = (int(block[stop]), float(worst[stop]))
-                break
-        if chosen is None:
+        else:  # no admissible time: the best defect seen and its first time
             return QrFailure(step, eps, best_d, best_n, floor)
-        times.append(chosen[0])
-        defects.append(chosen[1])
-        prev = chosen[0]
+        prev = int(block[ok[0]])
+        times.append(prev)
+        defects.append(float(worst[ok[0]]))
     return QrWitness(tuple(times), tuple(defects))
 
 
@@ -280,15 +273,9 @@ def commutant_return_inclusion(op, coeffs: Sequence[complex], x: Vec,
     if scale <= 0:
         raise DynamicsError("polynomial norm bound vanished")
     sx, loss = polynomial_apply(op, coeffs, x)
-    # the tight return times of x, then S x moved by each until the first violation
-    returns = np.flatnonzero(_sweep(op, x, horizon) < eps / scale)
-    first = None
-    count = len(returns)
-    checked = 0
-    for times, d, _ in displacements(op, returns, [sx]):
-        bad = np.flatnonzero(~(d[:, 0] < eps))
-        if bad.size:
-            first, count = int(times[bad[0]]), checked + int(bad[0]) + 1
-            break
-        checked += len(times)
+    # the tight return times of x (0 among them), then S x moved by each
+    returns = np.flatnonzero(_sweep(op, range(horizon + 1), x) < eps / scale)
+    bad = np.flatnonzero(~(_sweep(op, returns, sx) < eps))
+    first = int(returns[bad[0]]) if bad.size else None
+    count = int(bad[0]) + 1 if bad.size else len(returns)
     return InclusionReport(first is None, first, horizon + 1, scale, count, loss)

@@ -19,9 +19,9 @@ protocol:
   coordinates past dim_cap); `power(n, x)` (an `Applied(vec, loss)` pair)
   and `loss(n, x)` are their one-time, one-sample cases;
 - `apply(x)`: one step, `power(1, x)`;
-- `cycle()`: `(start, period)` when `powers` and `losses` give bit-identical
-  rows for all times n, n' >= start with n = n' mod period, `None` when no
-  such cycle is known; `displacements` then evaluates each distinct power once;
+- `cycle()`: `(start, period)` when `powers` gives bit-identical rows for
+  all times n, n' >= start with n = n' mod period, `None` when no such cycle
+  is known; `displacements` then evaluates each distinct power once;
 - `descriptor()`: the JSON-ready identity of the build;
 - `norm_bound()`: a conservative upper bound on the operator norm.
 
@@ -225,17 +225,15 @@ def row_norms(rows: np.ndarray, p: float) -> np.ndarray:
 CHUNK = 64
 
 
-def blocks(ns: Iterable[int], size: int = CHUNK, most: int = 0) -> Iterator[list[int]]:
-    """The times of ns in order, in lists of at most size, the size doubling up to most
-    when that is larger; also cut where they cross 2^62: one huge time must not send
-    its neighbours down the Python-int path."""
+def blocks(ns: Iterable[int], size: int = CHUNK) -> Iterator[list[int]]:
+    """The times of ns in order, in lists of at most size, also cut where they cross
+    2^62: one huge time must not send its neighbours down the Python-int path."""
     times = iter(ns)
     while block := list(itertools.islice(times, size)):
         if max(block) >= _I64_SAFE > min(block):
             yield from (list(run) for _, run in itertools.groupby(block, _I64_SAFE.__gt__))
         else:
             yield block
-        size = max(size, min(2 * size, most))
 
 
 def stack(op, samples: Sequence[Vec]) -> np.ndarray:
@@ -245,47 +243,41 @@ def stack(op, samples: Sequence[Vec]) -> np.ndarray:
     return np.array([x.coords for x in samples], dtype=complex).reshape(len(samples), op.dim_cap)
 
 
-# the largest start + period whose (d, loss) rows `displacements` keeps, so a
-# folded sweep holds at most 2 * CYCLE_CAP floats per sample; and the times
-# of a folded block, all folded in one numpy step
+# the largest start + period whose row norms `displacements` keeps, so a
+# folded sweep holds at most CYCLE_CAP floats per sample; and the times of a
+# folded block, all folded in one numpy step
 CYCLE_CAP, FOLD_BLOCK = 1 << 16, 1 << 12
 
 
 def displacements(op, ns: Iterable[int], samples: Sequence[Vec]) -> Iterator[tuple]:
-    """(times, d, loss) for each block of ns in order: the times as an array (int64,
-    or Python ints past 2^62), and (len(times), s) float arrays with d[t, i] =
-    || T^n x_i - x_i || and loss[t, i] = `op.loss(n, x_i)` at n = times[t].
+    """(times, d) for each block of ns in order: the times as an array (int64, or
+    Python ints past 2^62) and d[t, i] = || T^n x_i - x_i || at n = times[t], a
+    (len(times), s) float array; `op.losses(times, stack(op, samples))` is the
+    truncation loss beside it.
 
-    Each `powers` call takes a block of times and the whole stack, at most
-    CHUNK rows in all.  When `op.cycle()` gives (start, period) with start +
-    period at most CYCLE_CAP, blocks are FOLD_BLOCK times long and each time is
-    folded to n if n < start, else to start + (n - start) mod period; `powers`
-    and `losses` see only the folded times not met before, and their rows are
-    kept and read back for every time that folds onto them.  Otherwise `losses`
-    takes spans of blocks that double from one block on.  Lazy: a caller that
-    stops early leaves at most one span unused.
+    `powers` takes a block of times and the whole stack, at most CHUNK rows in
+    all.  When `op.cycle()` gives (start, period) with start + period at most
+    CYCLE_CAP, blocks are FOLD_BLOCK times long and each time folds to n if
+    n < start, else to start + (n - start) mod period; `powers` sees only the
+    folded times not met before, whose row norms are kept for every time that
+    folds onto them.  Lazy: a caller that stops early leaves one block unused.
     """
     xs = stack(op, samples)
     rows = max(1, CHUNK // max(1, len(xs)))
     cycle = op.cycle()
     if cycle is None or sum(cycle) > CYCLE_CAP:
-        # losses on spans of blocks that double up to FOLD_BLOCK times (fewer when
-        # the stack is wide), so a long sweep seldom pays their fixed cost and one
-        # that stops in its first block computes none past it
-        most = max(rows, FOLD_BLOCK * CHUNK // max(1, len(xs) * op.dim_cap))
-        for span in blocks(ns, rows, most):
-            loss = op.losses(span, xs)
-            for i in range(0, len(span), rows):
-                block = span[i: i + rows]
-                d = _distances(op, block, xs)  # first: `powers` checks the times
-                times = np.array(block, dtype=object if max(block) >= _I64_SAFE else np.int64)
-                yield times, d, loss[i: i + rows]
+        for block in blocks(ns, rows):
+            d = _distances(op, block, xs)  # first: `powers` checks the times
+            yield np.array(block, dtype=object if max(block) >= _I64_SAFE else np.int64), d
         return
     start, period = cycle
     known = np.zeros(start + period, dtype=bool)
-    kept = np.empty((2, start + period, len(xs)))
-    spans = ((ns[i: i + FOLD_BLOCK] for i in range(0, len(ns), FOLD_BLOCK))
-             if isinstance(ns, (range, np.ndarray)) else blocks(ns, FOLD_BLOCK))
+    norms = np.empty((start + period, len(xs)))
+    if isinstance(ns, (range, np.ndarray)):  # sliced without len: a range may pass sys.maxsize
+        spans = itertools.takewhile(len, (ns[i: i + FOLD_BLOCK]
+                                          for i in itertools.count(0, FOLD_BLOCK)))
+    else:
+        spans = blocks(ns, FOLD_BLOCK)
     for block in spans:
         times, keys = _fold(op, block, xs, start, period)
         fresh = ~known[keys]
@@ -293,10 +285,9 @@ def displacements(op, ns: Iterable[int], samples: Sequence[Vec]) -> Iterator[tup
             # a Python set, not np.unique: its first call adds 1.6 MB of resident memory
             new = sorted(set(keys[fresh].tolist()))
             for i in range(0, len(new), rows):
-                part = new[i: i + rows]
-                kept[:, part] = _distances(op, part, xs), op.losses(part, xs)
+                norms[new[i: i + rows]] = _distances(op, new[i: i + rows], xs)
             known[new] = True
-        yield times, kept[0, keys], kept[1, keys]
+        yield times, norms[keys]
 
 
 def _distances(op, ns: list[int], xs: np.ndarray) -> np.ndarray:

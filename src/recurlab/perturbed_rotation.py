@@ -30,15 +30,15 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .opcore import (_I64_SAFE, SUP, Denominators, Diagonal, Moduli, Operator, Vec, basis_vec,
+from .opcore import (SUP, Denominators, Diagonal, Moduli, Operator, Vec, basis_vec,
                      diagonal_rotation, displacements, norm_kind, row_norms)
 
 TWO_PI = 2.0 * math.pi
@@ -385,44 +385,13 @@ class PerturbedRotation(Operator):
 
     def losses(self, ns: Iterable[int], xs: np.ndarray) -> np.ndarray:
         """mu * ||x|| * tail(n), an estimate of the perturbation the untruncated T^n
-        would add past the levels.
-
-        Coefficients there are bounded by min(n, m_k/2)/m_{k-1}, that is
-        min(2n, m_k)/(2 m_{k-1}); six explicit terms plus a geometric remainder,
-        dominated by one extra term, bound the sum tail(n).  Each term is rounded
-        as int/int division rounds it: on a block, taken in long double, within 2
-        eps, and in Python ints where 4 eps either side of it round to two floats.
-        """
-        ns = self._times(ns, xs)
-        top = max(ns, default=0)
-        if len(ns) > 16 and top.bit_length() < 1000:
-            if top < _I64_SAFE:
-                n = np.array(ns, dtype=np.int64).astype(np.longdouble)
-            else:  # the float of n plus the float of the rest
-                n = np.array(ns, dtype=object)
-                hi = n.astype(np.float64)
-                n = hi.astype(np.longdouble) + (n - _ints(hi)).astype(np.float64)
-            prev, half = self._tail_ld
-            # no min to take while 2n is below every m_k
-            q = (n if 2 * top < self._tail[0][1] else np.minimum(n, half)) / prev
-            terms = (q * _WIDE[1]).astype(np.float64)
-            redo = (divmod(i, len(ns)) for i in np.flatnonzero(
-                (q * _WIDE[0]).astype(np.float64) != terms).tolist())
-        else:  # a short block, or one with a time past float range: Python ints
-            terms = np.empty((len(self._tail), len(ns)))
-            redo = itertools.product(range(len(self._tail)), range(len(ns)))
-        for k, t in redo:
-            two_prev, m_k = self._tail[k]
-            terms[k, t] = min(2 * ns[t], m_k) / two_prev
-        tail = sum(terms[1:], terms[0])  # added in order, as the scalar sum was
-        return tail[:, None] * (self._mu * row_norms(xs, self.p))
-
-    @functools.cached_property
-    def _tail_ld(self) -> np.ndarray:
-        """The tail pairs as long double columns (m_{k-1}, m_k / 2), clamped where the
-        ratio rounds to 0 anyway; on first use, as only a sweep needs them."""
-        return np.array([[min(v, 1 << 14000) for v in pair] for pair in self._tail],
-                        dtype=object).astype(np.longdouble).T[:, :, None] / 2
+        would add past the levels: coefficients there are bounded by
+        min(2n, m_k)/(2 m_{k-1}), each term one int/int division, and six explicit
+        terms plus a geometric remainder, dominated by one extra term, bound the sum."""
+        tail = [functools.reduce(operator.add, [min(2 * n, m_k) / two_prev
+                                                for two_prev, m_k in self._tail])
+                for n in self._times(ns, xs)]  # plain float additions, in order
+        return np.array(tail, dtype=np.float64)[:, None] * (self._mu * row_norms(xs, self.p))
 
     def powers(self, ns: Iterable[int], xs: np.ndarray) -> np.ndarray:
         """T^n x for a block of times and a stack of samples; cost is independent of n."""
@@ -443,11 +412,6 @@ class PerturbedRotation(Operator):
     def center_defect_floor(self) -> float:
         """The proven lower bound 1/(K*pi) on max head-basis displacement."""
         return 1.0 / (self.functional_bound * math.pi)
-
-
-# the factors 1 -+ 4 eps that bracket a long double tail term
-_WIDE = 1 + np.array([-4, 4]) * np.finfo(np.longdouble).eps
-_ints = np.frompyfunc(int, 1, 1)
 
 
 def build_operator(fold_n: int, mesh_levels: Sequence = DEFAULT_MESH,
@@ -478,7 +442,7 @@ def rigidity_defect(op: PerturbedRotation, j: int, samples: Sequence[Vec]) -> Ri
         raise ConstructionError(f"level {j} outside 1..{op.levels - 1}")
     for x in samples:
         op.check(x)
-    _, d, _ = next(displacements(op.rotation_part(), [op.modulus.m(j)], samples))
+    _, d = next(displacements(op.rotation_part(), [op.modulus.m(j)], samples))
     worst = float(d.max(initial=0.0))
     exact = op.modulus.coupling_sum(j)
     bound = TWO_PI * op.functional_bound * float(exact)
@@ -554,7 +518,7 @@ def recurrence_witness(op: PerturbedRotation, vectors: Sequence[Vec],
         if d <= max(grid_tol, entry.mesh):
             chosen.append((entry, d, op.modulus.m(entry.level - 1)))
     times = [t for _, _, t in chosen]
-    dists = [row for _, d, _ in displacements(op, times, vectors) for row in d.tolist()]
+    dists = [row for _, d in displacements(op, times, vectors) for row in d.tolist()]
     if not any(d <= grid_tol for _, d, _ in chosen):
         raise GridResolutionError(
             f"no grid entry within {grid_tol:g} of the annihilator; "
@@ -576,14 +540,9 @@ def non_recurrence_scan(op: PerturbedRotation, candidates: Iterable[int]) -> Sca
     times = [n for n in sorted(set(int(c) for c in candidates)) if n >= 1]
     if not times:
         raise ConstructionError("no candidates to scan")
-    best = math.inf
-    best_n = 0
-    for block, d, _ in displacements(op, times, op.head_basis()):
-        worst = d.max(axis=1)
-        i = int(np.argmin(worst))  # the first minimum, and a later block only when lower
-        if worst[i] < best:
-            best, best_n = float(worst[i]), int(block[i])
-    return ScanReport(best, best_n, len(times))
+    worst = np.concatenate([d.max(axis=1) for _, d in displacements(op, times, op.head_basis())])
+    i = int(worst.argmin())  # the first minimum
+    return ScanReport(float(worst[i]), times[i], len(times))
 
 
 def lattice_candidates(modulus: ModulusLadder, max_level: int,

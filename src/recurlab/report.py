@@ -88,8 +88,6 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
 
 

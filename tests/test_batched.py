@@ -214,12 +214,12 @@ def test_powers_rows_match_scalar_oracle(kind, pk, data):
 
 @pytest.mark.parametrize("fold", [1, 2, 3])
 def test_losses_equal_the_scalar_oracle_bit_for_bit(fold):
-    # the long double quotients of the tail, and the int/int fallback where they
-    # sit too close to a float rounding boundary, must give the scalar loss
-    # exactly: every time 0..3000 (a few dozen need the fallback), the ladder
-    # times, huge times, and a shallow operator whose tail saturates
+    # a block of times gives the scalar loss exactly: every time 0..3000, the
+    # ladder times, huge times, a shallow operator whose tail saturates, and a
+    # 48-level ladder whose tail moduli are far past float range
     rs = np.random.RandomState(fold)
-    for op in (OPS[f"perturbed-{fold}", "l2"], rl.build_operator(fold, [1], dim_cap=16)):
+    for op in (OPS[f"perturbed-{fold}", "l2"], rl.build_operator(fold, [1], dim_cap=16),
+               rl.build_operator(fold, [1], min_levels=48, dim_cap=48)):
         x = vector(op, 2)
         big = [int(v) << int(s)
                for v, s in zip(rs.randint(1, 2 ** 62, 200), rs.randint(0, 400, 200))]
@@ -253,15 +253,15 @@ def test_empty_block_gives_no_rows(kind, pk):
 
 
 def sweep(op, ns, samples):
-    """The (times, d, loss) blocks of `displacements`, each stacked into one array."""
+    """The (times, d) blocks of `displacements`, each stacked into one array."""
     blocks_ = list(rl.displacements(op, ns, samples))
-    for times, d, loss in blocks_:
-        assert times.ndim == 1 and d.shape == loss.shape == (len(times), len(samples))
-        assert d.dtype == loss.dtype == np.float64
+    for times, d in blocks_:
+        assert times.ndim == 1 and d.shape == (len(times), len(samples))
+        assert d.dtype == np.float64
     if not blocks_:
-        return [], np.zeros((0, len(samples))), np.zeros((0, len(samples)))
-    times, d, loss = zip(*blocks_)
-    return [int(n) for n in np.concatenate(times)], np.concatenate(d), np.concatenate(loss)
+        return [], np.zeros((0, len(samples)))
+    times, d = zip(*blocks_)
+    return [int(n) for n in np.concatenate(times)], np.concatenate(d)
 
 
 @pytest.mark.parametrize("pk", P_KINDS)
@@ -270,8 +270,9 @@ def test_displacements_over_more_than_one_chunk(kind, pk):
     op = OPS[kind, pk]
     xs = [vector(op, seed) for seed in (7, 1, 4)]
     ns = list(range(CHUNK + 37))
-    times, got, loss = sweep(op, ns, xs)
+    times, got = sweep(op, ns, xs)
     assert times == ns
+    loss = op.losses(ns, rl.stack(op, xs))
     for n, ds, ls in zip(ns, got, loss):
         for x, d, l in zip(xs, ds, ls):
             want, want_loss = oracle(op, n, x)
@@ -295,8 +296,9 @@ def test_distance_equals_evaluator_bit_for_bit(kind, pk, seeds, ns):
     xs = [rl.basis_vec(1, op.dim_cap, op.p), rl.dyadic_comb(op.dim_cap, op.p)] + [
         vector(op, seed) for seed in seeds]
     for stacked in (xs[:1], xs[:2], xs[:3], xs[2:]):
-        times, d, loss = sweep(op, ns, stacked)
+        times, d = sweep(op, ns, stacked)
         assert times == ns
+        loss = op.losses(ns, rl.stack(op, stacked))
         for n, ds, ls in zip(ns, d, loss):
             for x, got, l in zip(stacked, ds, ls):
                 assert rl.distance(op.power(n, x).vec, x) == got
@@ -311,7 +313,7 @@ def test_block_straddling_2_62_matches_scalar_oracle(kind):
     assert [len(b) for b in blocks(ns)] == [30, 3, 2]
     xs = [vector(op, seed) for seed in (0, 1, 2)]
     rows = op.powers(ns, rl.stack(op, xs))
-    times, dists, _ = sweep(op, ns, xs)
+    times, dists = sweep(op, ns, xs)
     assert times == ns
     for n, row, ds in zip(ns, rows, dists):
         for x, got, d in zip(xs, row, ds):
@@ -431,11 +433,11 @@ def test_cycle_is_exact_and_folding_is_bit_for_bit(kind, pk, data):
     times = edges + data.draw(st.lists(st.integers(0, 3000) | st.integers(0, 10 ** 45),
                                        max_size=CHUNK + 10), label="times")
     times = data.draw(st.permutations(times), label="order")
-    got_times, got, loss = sweep(op, times, samples)
+    got_times, got = sweep(op, times, samples)
     assert got_times == times
     want = np.array([one_time_displacements(op, t, xs) for t in times])
     assert got.tobytes() == want.tobytes()
-    assert loss.tobytes() == np.array([op.losses([t], xs)[0] for t in times]).tobytes()
+    assert op.losses([n + period], xs).tobytes() == op.losses([n], xs).tobytes()
 
 
 def one_time_displacements(op, n, xs):
@@ -485,25 +487,23 @@ def test_each_distinct_power_is_evaluated_once(monkeypatch, kind, rows):
     for ns in (range(20001), list(range(20001))):
         calls = count_rows(monkeypatch, op)
         got = list(rl.displacements(op, ns, [vector(op, 1)]))
-        assert [n for times, _, _ in got for n in times.tolist()] == list(range(20001))
+        assert [n for times, _ in got for n in times.tolist()] == list(range(20001))
         assert len(got) <= -(-20001 // FOLD_BLOCK)
         assert sum(calls) <= rows and max(calls) <= CHUNK
 
 
-def test_direct_path_losses_come_in_doubling_spans(monkeypatch):
-    # the yielded blocks keep CHUNK rows; losses, whose cost is mostly fixed per
-    # call, take spans that double from one block, up to FOLD_BLOCK times
-    op = build("perturbed-2", 2.0)
-    sizes = []
-    losses = type(op).losses
-    monkeypatch.setattr(type(op), "losses",
-                        lambda self, ns, xs: sizes.append(len(ns)) or losses(self, ns, xs))
-    got = list(rl.displacements(op, range(3001), [vector(op, 1)]))
-    assert [len(times) for times, _, _ in got] == [CHUNK] * 46 + [57]
-    assert sizes == [64, 128, 256, 512, 1024, 1017]
-    sizes.clear()
-    next(rl.displacements(op, range(10 ** 5), [vector(op, 1)]))
-    assert sizes == [64]
+@pytest.mark.parametrize("kind", ["shift", "block-50", "perturbed-2"])
+def test_sweeps_stay_lazy(kind):
+    # a range past sys.maxsize is read block by block, and a bad time raises
+    # only once the blocks before it are out
+    op = build(kind, 2.0)
+    x = vector(op, 1)
+    times, d = next(rl.displacements(op, range(10 ** 20), [x]))
+    assert times[0] == 0 and d[0, 0] == 0.0
+    got = rl.displacements(op, list(range(FOLD_BLOCK)) + [-1], [x])
+    assert next(got)[0].tolist()[:CHUNK] == list(range(CHUNK))
+    with pytest.raises(op.error, match="exponent must be a natural number"):
+        list(got)
 
 
 @pytest.mark.parametrize("op", [

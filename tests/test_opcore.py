@@ -217,8 +217,9 @@ class TestBlockPermutationIsometry:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, rl.SUP], ids=["l1", "l2", "l3", "sup"])
     def test_evaluator_loss_is_the_dropped_mass(self, p):
         # cap 50 cuts the block [33, 64]: the permutation keeps the norm of
-        # everything but the mass it pushes past the cap, which the evaluator's
-        # loss reports, so ||T^n x||^p + loss^p = ||x||^p (max form for sup)
+        # everything but the mass it pushes past the cap, which the loss of the
+        # evaluator's blocks reports, so ||T^n x||^p + loss^p = ||x||^p (max
+        # form for sup)
         op = rl.BlockPermutationIsometry(50, p)
         rs = np.random.RandomState(50)
         samples = [rl.Vec(rs.standard_normal(50) + 1j * rs.standard_normal(50), p),
@@ -227,7 +228,8 @@ class TestBlockPermutationIsometry:
         xs = rl.stack(op, samples)
         norms = rl.opcore.row_norms(xs, p)
         times = list(range(200)) + [2 ** 62 + 7, 10 ** 40]
-        for block, _, loss in rl.displacements(op, times, samples):
+        for block, _ in rl.displacements(op, times, samples):
+            loss = op.losses(block, xs)
             kept = rl.opcore.row_norms(op.powers(block.tolist(), xs), p)
             want = np.broadcast_to(norms, kept.shape)
             if p == rl.SUP:

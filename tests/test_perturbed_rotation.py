@@ -278,8 +278,8 @@ class TestTruncationLoss:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, rl.SUP], ids=["l1", "l2", "l3", "sup"])
     @pytest.mark.parametrize("fold", [1, 2, 3])
     def test_deep_tail_within_shallow_loss(self, fold, p):
-        # || T_deep^n x - T^n x || <= loss(n, x), the loss read from the
-        # evaluator beside the distance, for x on the built levels
+        # || T_deep^n x - T^n x || <= loss(n, x), the loss of each block of
+        # the evaluator, for x on the built levels
         shallow = pr.build_operator(fold, dim_cap=80, p=p)
         levels = shallow.levels
         deep = pr.build_operator(fold, dim_cap=80, p=p, min_levels=levels + 6)
@@ -296,7 +296,8 @@ class TestTruncationLoss:
         samples = [rl.Vec(c, p), rl.basis_vec(1, 80, p), rl.basis_vec(levels, 80, p)]
         xs = rl.stack(shallow, samples)
         checked = 0
-        for block, _, loss in rl.displacements(shallow, sorted(times), samples):
+        for block, _ in rl.displacements(shallow, sorted(times), samples):
+            loss = shallow.losses(block, xs)
             near, far = shallow.powers(block.tolist(), xs), deep.powers(block.tolist(), xs)
             assert np.array_equal(near[..., :levels], far[..., :levels])
             assert np.all(rl.opcore.row_norms(far - near, p) <= loss)
