@@ -22,7 +22,7 @@ from .perturbed_rotation import (DEFAULT_MESH, ConstructionError,
                                  build_functional_grid, build_modulus_ladder,
                                  build_operator, lattice_candidates, non_recurrence_scan,
                                  quantize_head_functional, recurrence_witness,
-                                 rigidity_defect)
+                                 rigidity_defects)
 from .dynamics import (DynamicsError, InclusionReport, PeriodClassification,
                        QrFailure, QrWitness, classify_period_by_density,
                        commutant_return_inclusion, detect_period, displacements,
@@ -45,7 +45,7 @@ __all__ = [
     "RigidityDefect", "ScanReport", "WitnessPoint", "annihilating_functional",
     "build_functional_grid", "build_modulus_ladder", "build_operator",
     "lattice_candidates", "non_recurrence_scan",
-    "quantize_head_functional", "recurrence_witness", "rigidity_defect",
+    "quantize_head_functional", "recurrence_witness", "rigidity_defects",
     "DynamicsError", "InclusionReport", "PeriodClassification", "QrFailure",
     "QrWitness", "classify_period_by_density",
     "commutant_return_inclusion", "detect_period", "displacements", "orbit_returns",

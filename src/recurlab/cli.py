@@ -323,7 +323,7 @@ def cmd_rigidity(cfg: Cfg, sink: Sink) -> int:
         samples = [_normalized(vector_from(s, op)) for s in cfg.subs("samples")]
     else:
         samples = op.head_basis() + [_normalized(opcore.dyadic_comb(op.dim_cap, op.p))]
-    rows = [pr.rigidity_defect(op, j, samples) for j in range(1, j_max + 1)]
+    rows = pr.rigidity_defects(op, range(1, j_max + 1), samples)
     worst = max([0.0] + [r.defect for r in rows])
     all_within = not any(r.defect > r.bound + 1e-12 for r in rows)
     payload = {"jMax": j_max, "samples": len(samples), "allWithinBound": all_within,
@@ -395,11 +395,12 @@ def cmd_qr_search(cfg: Cfg, sink: Sink) -> int:
         line = (f"qr found steps={len(result.times)} "
                 f"times={[str(t) for t in result.times]}")
     else:
+        best = None if result.best_time is None else str(result.best_time)
         payload = {"found": False, "step": result.step, "eps": result.eps,
-                   "bestDefect": result.best_defect, "bestTime": str(result.best_time),
+                   "bestDefect": result.best_defect, "bestTime": best,
                    "floor": result.floor, "certified": result.certified}
-        line = (f"qr failed step={result.step} eps={result.eps:g} "
-                f"bestDefect={result.best_defect:.6g} certified={result.certified}")
+        line = (f"qr failed step={result.step} eps={result.eps:g} bestDefect="
+                f"{best and format(result.best_defect, '.6g')} certified={result.certified}")
     payload["rotationOnly"] = rotation_only
     payload["candidates"] = len(candidates)
     sink.json("qr-search.json", report.make_record("qr-search", cfg.data, payload))

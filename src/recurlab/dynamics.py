@@ -78,17 +78,17 @@ class QrWitness:
 class QrFailure:
     """First schedule step that no candidate time can satisfy.
 
-    best_defect is the smallest worst-sample displacement seen while
-    scanning that step; when the samples span the head basis of the
-    perturbed rotation, `floor` carries the proven lower bound 1/(K*pi)
-    valid for every time, which certifies the failure rather than merely
-    reporting an exhausted scan.
+    best_defect is the smallest worst-sample displacement seen while scanning
+    that step and best_time its first time, both None when no candidate was
+    left; when the samples span the head basis of the perturbed rotation,
+    `floor` carries the proven lower bound 1/(K*pi) valid for every time,
+    which certifies the failure rather than merely reporting an exhausted scan.
     """
 
     step: int
     eps: float
-    best_defect: float
-    best_time: int
+    best_defect: Optional[float]
+    best_time: Optional[int]
     floor: Optional[float] = None
 
     @property
@@ -133,16 +133,16 @@ def quasi_rigidity_search(op, samples: Sequence[Vec], eps_schedule: Sequence[flo
     defects: list[float] = []
     prev = 0
     for step, eps in enumerate(eps_list, start=1):
-        best_d, best_n = math.inf, 0
+        best_d = best_n = None
         for block, d in displacements(op, cand[bisect_right(cand, prev):], samples):
             worst = d.max(axis=1)
             ok = np.flatnonzero(worst <= eps)
             if ok.size:
                 break
             i = int(worst.argmin())  # the first minimum on ties
-            if worst[i] < best_d:
+            if best_d is None or worst[i] < best_d:
                 best_d, best_n = float(worst[i]), int(block[i])
-        else:  # no admissible time: the best defect seen and its first time
+        else:  # no admissible time: the best defect seen and its first time, if any
             return QrFailure(step, eps, best_d, best_n, floor)
         prev = int(block[ok[0]])
         times.append(prev)

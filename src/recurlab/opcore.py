@@ -30,9 +30,9 @@ depends on the magnitude of the exponent for rotations and permutations.
 Exact phases reduce (n * num) mod den exactly (`Moduli.residues`: int64
 where it cannot overflow, Python ints otherwise) before one division, on the
 columns some sample is nonzero on; plain complex entries are raised by binary
-exponentiation (`int_powers`).  `PerturbedRotation` reduces n mod m_k once
-per block and builds both R^n (`Moduli.turns`, as its `rotation_part()`
-does) and its perturbation coefficients from those residues.
+exponentiation (`int_powers`).  `PerturbedRotation` builds R^n and its
+perturbation coefficients from one reduction of each time per block: n mod
+m_k in int64, or past 2^62 the digits of n on its modulus ladder.
 """
 
 from __future__ import annotations

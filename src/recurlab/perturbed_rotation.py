@@ -15,12 +15,12 @@ basis never returns: every power moves some head basis vector by more than
 1/(K*pi).
 
 Numerics are arranged so that exactness survives the truncation.  Moduli are
-plain Python integers of arbitrary size, power phases reduce n mod m_k
-exactly before any float enters (int64 where it cannot overflow, Python ints
-otherwise), and each ratio of integers is one division: int/int, correctly
-rounded, at ladder scale.  `powers` evaluates a block of times for a stack
-of samples at every level at once, from one reduction of n mod m_k and one
-row of coefficients per block shared by every sample.  Geometric phase sums
+plain Python integers of arbitrary size, and power phases reduce n mod m_k
+exactly before any float enters: in int64 below 2^62, past it as digits of
+n mod m_L in the mixed radix of the growth factors (exact int64 groups), from
+which r/m_k and (m_k - r)/m_k are fixed-order float sums.  `powers` takes a
+block of times for a stack of samples at every level at once, with one row
+of coefficients per block shared by every sample.  Geometric phase sums
 use the folded-sine form min(r, m-r) * sinc(pi*rho)/sinc(pi/m), which is
 immune to underflow for astronomically large moduli and never exceeds the
 integer envelope.
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -38,8 +39,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .opcore import (SUP, Denominators, Diagonal, Moduli, Operator, Vec, basis_vec,
-                     diagonal_rotation, displacements, norm_kind, row_norms)
+from .opcore import (_I64_SAFE, SUP, Denominators, Diagonal, Moduli, Operator, Vec,
+                     basis_vec, diagonal_rotation, displacements, norm_kind, row_norms)
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,23 +88,27 @@ class ModulusLadder:
             m *= self.growth(j)
         return m
 
+    @functools.cached_property
+    def suffix_sums(self) -> tuple[int, ...]:
+        """S_j = sum_{k=j+1}^{levels} m_L/m_k for j = 0..levels, integers since m_k | m_L."""
+        return tuple(itertools.accumulate((self.values[-1] // m for m in self.values[::-1]),
+                                          initial=0))[::-1]
+
     def cert_bound(self, j: int) -> Fraction:
         """Exact rational m_j * sum_{k=j+1}^{levels} 1/m_k."""
         if not 1 <= j <= self.levels - 1:
             raise ConstructionError(f"certificate level {j} outside 1..{self.levels - 1}")
-        return sum((Fraction(self.m(j), self.m(k)) for k in range(j + 1, self.levels + 1)),
-                   Fraction(0))
+        return Fraction(self.m(j) * self.suffix_sums[j], self.values[-1])
 
     def coupling_sum(self, j: int) -> Fraction:
         """Rational upper bound on the infinite sum of m_j / m_k over k > j.
 
-        The finite part is exact; the part beyond the built levels is
-        dominated through the growth factor by a geometric comparison.
+        The finite part is exact; the part beyond the built levels is dominated
+        through the growth factor by a geometric comparison: m_j / (m_L g0) (1 + 2/g1).
         """
-        total = self.cert_bound(j) if j <= self.levels - 1 else Fraction(0)
-        g0 = self.growth(self.levels)
-        g1 = self.growth(self.levels + 1)
-        return total + Fraction(self.m(j), self.m(self.levels) * g0) * (1 + Fraction(2, g1))
+        g0, g1 = self.growth(self.levels), self.growth(self.levels + 1)
+        return Fraction(self.m(j) * (self.suffix_sums[j] * g0 * g1 + g1 + 2),
+                        self.values[-1] * g0 * g1)
 
     def tail_inverse_sum(self) -> float:
         """Upper estimate of sum_{k > levels} 1/m_{k-1}."""
@@ -272,7 +277,8 @@ class PerturbedRotation(Operator):
         pert = self.modulus.values[self.head:]
         put("_phases", Moduli([1] * len(pert), pert))
         put("_prev", Denominators(self.modulus.values[self.head - 1:-1]))
-        put("_sinc_unit", np.sinc([1 / v for v in pert]))
+        put("_unit", np.array([1 / v for v in pert]))
+        put("_sinc_unit", np.sinc(self._unit))
         # (2 m_{k-1}, m_k) for the six levels past the truncation, the last twice, for losses
         ext = [self.modulus.extended_m(k) for k in range(levels, levels + 7)]
         put("_tail", list(zip([2 * v for v in ext], ext[1:])) + [(2 * ext[5], ext[6])])
@@ -323,8 +329,8 @@ class PerturbedRotation(Operator):
 
     def norm_bound(self) -> float:
         """1 plus the coupling factor times the summed perturbation weights."""
-        inv = sum((Fraction(1, self.modulus.m(k - 1))
-                   for k in range(self.head + 1, self.levels + 1)), Fraction(0))
+        # sum_{k=head+1}^{levels} 1/m_{k-1}: every level from head on but the last
+        inv = Fraction(self.modulus.suffix_sums[self.head - 1] - 1, self.modulus.values[-1])
         return 1.0 + self._mu * (float(inv) + self.modulus.tail_inverse_sum())
 
     # -- phase sums -----------------------------------------------------------
@@ -344,42 +350,74 @@ class PerturbedRotation(Operator):
         r, m = self._phases.residues([n], j)
         if r[0, 0] == 0:
             return 0j
-        folded, _, shrink, phase = self._sum_parts(r[0], m, j)
+        folded, shrink, phase = self._sum_parts(r[0], m, j)
         if folded[0] > 1e306:
             raise OverflowError("phase sum magnitude exceeds float range")
         return complex(float(folded[0]) * shrink[0] * phase[0])
 
     def _sum_parts(self, r: np.ndarray, m: np.ndarray, cols) -> tuple[np.ndarray, ...]:
-        """(folded residue, its ratio to m_k, sinc ratio, unit phase) of the phase sums
-        for r = n mod m_k at the perturbed levels `cols` selects; meaningless at r = 0."""
+        """(folded residue, sinc ratio, unit phase) of the phase sums for r = n mod m_k
+        at the perturbed levels `cols` selects; meaningless at r = 0."""
         folded = np.minimum(r, m - r)
         ratio = self._phases.dens.ratio
-        q = ratio(folded, cols)
-        shrink = np.minimum(1.0, np.sinc(q) / self._sinc_unit[cols])
-        return folded, q, shrink, np.exp(1j * np.pi * ratio(r - 1, cols))
+        shrink = np.minimum(1.0, np.sinc(ratio(folded, cols)) / self._sinc_unit[cols])
+        return folded, shrink, np.exp(1j * np.pi * ratio(r - 1, cols))
 
-    def _coeffs(self, r: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """phase_sum(k, n) / m_{k-1} for every time (rows) and perturbed level k
-        (columns), computed as a ratio so it never overflows; 0 where m_k divides n.
+    @functools.cached_property
+    def _radix(self) -> tuple:
+        """Tables for times past int64, built on first use: `_coeffs` reads n mod m_L in
+        the mixed radix of the growth factors g (each past 2^62 cut into k^2 and powers
+        of two), grouped while their product is below 2^62.  Per level its group and
+        place value there; complements top - d (size - 1, or size in group 0: the unit
+        of m - r); weights[i, j] = base_i / base_j, i < j, from float mantissas and
+        exponents, so none overflows; g_{k-1} and g_{k-1} / (pi sinc(pi/m_k))."""
+        factors = [self.modulus.growth(k) for k in range(self.head, self.levels)]
+        sizes, group, place = [], [], []
+        for k, g in enumerate(factors, self.head):
+            for f in [g] if g < _I64_SAFE else [k * k] + [1 << min(61, k + 2 - i)
+                                                         for i in range(0, k + 2, 61)]:
+                if not sizes or sizes[-1] * f >= _I64_SAFE:
+                    sizes.append(1)
+                sizes[-1] *= f
+            group.append(len(sizes) - 1)
+            place.append(sizes[-1])
+        bases = list(itertools.accumulate(sizes[:-1], operator.mul, initial=1))
+        shift = [b.bit_length() for b in bases]
+        mantissa = [b / (1 << s) for b, s in zip(bases, shift)]  # correctly rounded
+        weights = np.triu(np.ldexp(np.divide.outer(mantissa, mantissa),
+                                   np.minimum(np.subtract.outer(shift, shift), 0)), 1)
+        top = [v - (i > 0) for i, v in [*enumerate(sizes), *zip(group, place)]]
+        growth = np.array(factors, dtype=float)
+        return (sizes, group, np.array(place, dtype=np.int64)[:, None],
+                np.array(top, dtype=np.int64)[:, None], weights[..., None, None],
+                growth, growth / (np.pi * self._sinc_unit))
 
-        Python-int division is costly: Python-int residues are worked on only
-        where nonzero (m_k divides a ladder-scale time for most k), and folded /
-        m_{k-1} is taken from the entry before when that one is at level k - 1
-        with the same folded residue (as at every level past the largest m_k | n).
-        """
-        if not r.dtype.hasobject:
-            folded, _, shrink, phase = self._sum_parts(r, m, slice(None))
-            return self._prev.ratio(folded) * shrink * phase
-        out = np.zeros(r.shape, dtype=np.complex128)
-        hit = np.nonzero(r)
-        cols = hit[1]
-        folded, q, shrink, phase = self._sum_parts(r[hit], m[cols], cols)
-        prev = np.empty(len(folded))
-        same = (np.diff(cols, prepend=-2) == 1) & (folded == np.roll(folded, 1))
-        prev[same] = q[np.flatnonzero(same) - 1]
-        prev[~same] = self._prev.ratio(folded[~same], cols[~same])
-        out[hit] = prev * shrink * phase
-        return out
+    def _coeffs(self, ns: list[int]) -> tuple:
+        """(turns, phase_sum(k, n) / m_{k-1} per time and perturbed level k); turns(cols)
+        is exp(2 pi i (n mod m_k)/m_k) on columns cols.  Past 2^62 from `_radix` digits."""
+        if max(ns, default=0) < _I64_SAFE:
+            r, m = self._phases.residues(ns)
+            folded, shrink, phase = self._sum_parts(r, m, slice(None))
+            return (lambda cols: self._phases.turns(r[:, cols], cols),
+                    self._prev.ratio(folded) * shrink * phase)
+        sizes, group, place, top, weights, growth, envelope = self._radix
+        digits = []
+        for rest in [n % self.modulus.values[-1] for n in ns]:
+            for size in sizes:
+                rest, digit = divmod(rest, size)
+                digits.append(digit)
+        d = np.fromiter(digits, np.int64, len(digits)).reshape(len(ns), len(sizes)).T
+        low = np.concatenate([d, d[group] % place])  # group digits, then each level's part
+        low = np.stack([low, top - low], axis=1)  # and their exact complements
+        # (n mod M)/M and (M - n mod M)/M per group base M, digits added in one fixed order
+        # (a BLAS product need not): column k reads no digit above k, as a deeper build does
+        below = np.add.reduce(weights * low[:len(sizes), None], axis=0)[group]
+        q, complement = ((below + low[len(sizes):]) / place[:, None]).transpose(1, 2, 0)
+        # |phase_sum| / m_{k-1}, folded-sine: g_{k-1} folded min(1, sinc(folded) / sinc(1/m_k))
+        folded = np.minimum(q, complement)
+        mag = np.minimum(folded * growth, np.sin(np.pi * folded) * envelope)
+        return (lambda cols: np.exp(2j * np.pi * q[:, cols]),
+                mag * np.exp(1j * np.pi * (q - self._unit)))
 
     # -- action ---------------------------------------------------------------
 
@@ -396,17 +434,17 @@ class PerturbedRotation(Operator):
     def powers(self, ns: Iterable[int], xs: np.ndarray) -> np.ndarray:
         """T^n x for a block of times and a stack of samples; cost is independent of n."""
         ns = self._times(ns, xs)
-        r, m = self._phases.residues(ns)
+        turns, coeffs = self._coeffs(ns)
         y = np.repeat(xs[None], len(ns), axis=0)
         levels = slice(self.head, self.levels)
         # R^n, on the level columns some sample can see
         seen = xs[:, levels].any(axis=0).nonzero()[0]
         if seen.size:
-            y[:, :, seen + self.head] *= self._phases.turns(r[:, seen], seen)[:, None]
+            y[:, :, seen + self.head] *= turns(seen)[:, None]
         # <w_k, P x> per sample and level, each summed over the head in the same order
         # (alpha first: numpy's complex product need not commute bit for bit)
         weights = np.add.reduce(self._alpha * xs[:, None, : self.head], axis=2)
-        y[:, :, levels] += self._coeffs(r, m)[:, None] * weights
+        y[:, :, levels] += coeffs[:, None] * weights
         return y
 
     def center_defect_floor(self) -> float:
@@ -432,21 +470,20 @@ class RigidityDefect:
     bound_exact: Fraction
 
 
-def rigidity_defect(op: PerturbedRotation, j: int, samples: Sequence[Vec]) -> RigidityDefect:
-    """Worst rotation return error || R^{m_j} x - x || over the samples.
-
-    The bound is 2*pi*K times the rational coupling sum over k > j; it holds
-    for every unit vector, so samples are expected normalized.
-    """
-    if not 1 <= j <= op.levels - 1:
-        raise ConstructionError(f"level {j} outside 1..{op.levels - 1}")
+def rigidity_defects(op: PerturbedRotation, levels: Iterable[int],
+                     samples: Sequence[Vec]) -> list[RigidityDefect]:
+    """Worst rotation return error || R^{m_j} x - x || over the samples per level j, from
+    one `displacements` call over the times m_j.  Each bound, 2*pi*K times the rational
+    coupling sum over k > j, holds for every unit vector: samples should be normalized."""
+    levels = list(levels)
+    if not all(1 <= j <= op.levels - 1 for j in levels):
+        raise ConstructionError(f"levels {levels} not all in 1..{op.levels - 1}")
     for x in samples:
         op.check(x)
-    _, d = next(displacements(op.rotation_part(), [op.modulus.m(j)], samples))
-    worst = float(d.max(initial=0.0))
-    exact = op.modulus.coupling_sum(j)
-    bound = TWO_PI * op.functional_bound * float(exact)
-    return RigidityDefect(j, worst, bound, exact)
+    worst = [row.max(initial=0.0) for _, d in displacements(
+        op.rotation_part(), [op.modulus.m(j) for j in levels], samples) for row in d]
+    return [RigidityDefect(j, float(w), TWO_PI * op.functional_bound * float(exact), exact)
+            for j, w, exact in zip(levels, worst, map(op.modulus.coupling_sum, levels))]
 
 
 def annihilating_functional(vectors: Sequence[Vec], fold_n: int) -> np.ndarray:

@@ -67,7 +67,7 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_json(path: str, record: dict) -> None:
-    atomic_write_text(path, json.dumps(record, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:

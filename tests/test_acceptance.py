@@ -104,12 +104,12 @@ def test_criterion_03_rigidity_defect_decay():
     samples = [rl.basis_vec(i, op.dim_cap, op.p) for i in range(1, op.head + 1)]
     samples.append(_unit(rl.dyadic_comb(op.dim_cap, op.p)))
     bad = []
-    for j in range(1, 15):
-        r = rl.rigidity_defect(op, j, samples)
-        in_ladder = 2.0 * math.pi * float(op.modulus.cert_bound(j))
+    rows = rl.rigidity_defects(op, range(1, 15), samples)
+    for r in rows:
+        in_ladder = 2.0 * math.pi * float(op.modulus.cert_bound(r.level))
         if r.defect > in_ladder:
-            bad.append(f"j={j}: defect {r.defect!r} > {in_ladder!r}")
-    r14 = rl.rigidity_defect(op, 14, samples)
+            bad.append(f"j={r.level}: defect {r.defect!r} > {in_ladder!r}")
+    r14 = rows[-1]
     # 62831854/1e7 is a rational upper bound for 2*pi, and coupling_sum
     # majorizes the ladder sum past the truncation, so this certifies the
     # crossing without touching floats

@@ -11,6 +11,7 @@ a unit entry; see `TestIntPowers`).
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -350,6 +351,46 @@ def test_overflow_scale_times_stay_finite_and_match():
         for x, got in zip(xs, row):
             want = oracle(op, n, x)[0]
             assert_row_close(got, want, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("min_levels, factor_bits", [(45, 53), (70, 63)])
+def test_deep_ladder_times_match_scalar_oracle(min_levels, factor_bits):
+    # growth factors past 2^53 (not exact as float digits) and past 2^63 (cut
+    # into k^2 and powers of two): ladder-scale rows against the oracle, and
+    # multiples of m_L, where every residue is 0, give x back bit for bit
+    op = rl.build_operator(2, min_levels=min_levels, dim_cap=min_levels)
+    assert rl.ModulusLadder.growth(op.levels - 1) >= 2 ** factor_bits
+    top = op.modulus.m(op.levels)
+    rng = random.Random(min_levels)
+    ns = {top - 1, 10 ** 40} | {rng.randrange(50 * top) for _ in range(40)}
+    ns |= {c * m + e for m in op.modulus.values for c in (1, 2, 3) for e in (-1, 0, 1)}
+    xs = [rl.basis_vec(1, op.dim_cap), rl.dyadic_comb(op.dim_cap), vector(op, 2)]
+    for block in blocks(sorted(n for n in ns if n >= 0)):
+        for n, row in zip(block, op.powers(block, rl.stack(op, xs))):
+            for x, got in zip(xs, row):
+                want = oracle(op, n, x)[0]
+                assert_row_close(got, want, max(np.max(np.abs(want)), np.max(np.abs(x.coords))))
+    X = rl.stack(op, xs)
+    for n in (top, 2 * top, 50 * top):
+        assert op.powers([n], X)[0].tobytes() == X.tobytes()
+
+
+def test_ladder_scale_scan_does_no_python_int_division(monkeypatch, default_op):
+    # past 2^62 the kernel reads digits on the ladder: no correctly rounded
+    # int/int division of Python-int residues, one per time and level
+    op = default_op
+    cands = rl.lattice_candidates(op.modulus, 23, (1, 2, 3), True, 200)
+    assert max(cands) >= 2 ** 62
+    want = rl.non_recurrence_scan(op, cands)
+    ratio = rl.opcore.Denominators.ratio
+
+    def int64_only(self, a, cols=slice(None)):
+        if a.dtype.hasobject:
+            raise AssertionError("Python-int true division on the kernel path")
+        return ratio(self, a, cols)
+
+    monkeypatch.setattr(rl.opcore.Denominators, "ratio", int64_only)
+    assert rl.non_recurrence_scan(op, cands) == want
 
 
 def test_head_defects_match_the_scalar_oracle(default_op):

@@ -452,6 +452,29 @@ class TestQrSearchCommand:
         assert pay["found"] is False and pay["certified"] is True
         assert pay["step"] == 2 and pay["floor"] == pytest.approx(0.3183098861837907)
 
+    def test_step_without_candidates_writes_strict_json(self, tmp_path, capsys):
+        # the one candidate, 1, passes step 1, which leaves nothing for step 2
+        out_dir = str(tmp_path / "o")
+        cfg = write_cfg(tmp_path, "q.json", {
+            "operator": {"foldN": 2, "dimCap": 64}, "rotationOnly": True,
+            "epsSchedule": [10.0, 10.0], "maxLevel": 1, "multipliers": [1],
+            "neighbors": False, "scanHead": 0})
+        code, out, _ = run(["qr-search", "--config", cfg, "--out-dir", out_dir], capsys)
+        assert code == 0 and "qr failed step=2" in out
+
+        def strict(token):
+            raise ValueError(f"nonstandard JSON token {token}")
+
+        with open(os.path.join(out_dir, "qr-search.json")) as f:
+            pay = json.load(f, parse_constant=strict)["payload"]
+        assert pay["found"] is False and pay["step"] == 2 and pay["candidates"] == 1
+        assert pay["bestDefect"] is None and pay["bestTime"] is None
+
+    def test_records_refuse_nonfinite_floats(self, tmp_path):
+        with pytest.raises(ValueError):
+            report.write_json(str(tmp_path / "r.json"), {"x": float("inf")})
+        assert not os.listdir(tmp_path)
+
 
 class TestPeriodCommand:
     def test_exact_period_detected(self, tmp_path, capsys):
@@ -578,7 +601,7 @@ class TestSampleValidation:
             with pytest.raises(rl.ConstructionError):
                 rl.quasi_rigidity_search(op, [e1, bad], [1.0], [1, 2])
             with pytest.raises(rl.ConstructionError):
-                rl.rigidity_defect(op, 3, [e1, bad])
+                rl.rigidity_defects(op, [3], [e1, bad])
             with pytest.raises(rl.ConstructionError):
                 list(rl.displacements(op, [1], [e1, bad]))
             with pytest.raises(rl.OpcoreError):

@@ -58,6 +58,22 @@ class TestModulusLadder:
         for j in range(1, 10):
             assert lad.coupling_sum(j) > lad.cert_bound(j)
 
+    @pytest.mark.parametrize("fold", [1, 2, 3])
+    def test_suffix_sums_give_the_term_by_term_fractions(self, fold):
+        # the Fractions summed term by term, as the bounds were first written
+        op = pr.build_operator(fold, min_levels=40)
+        lad, top = op.modulus, op.levels
+        for j in range(1, top + 1):
+            ladder = sum((Fraction(lad.m(j), lad.m(k)) for k in range(j + 1, top + 1)),
+                         Fraction(0))
+            if j < top:
+                assert lad.cert_bound(j) == ladder
+            g0, g1 = lad.growth(top), lad.growth(top + 1)
+            assert lad.coupling_sum(j) == ladder + Fraction(lad.m(j), lad.m(top) * g0) * (
+                1 + Fraction(2, g1))
+        inv = sum((Fraction(1, lad.m(k - 1)) for k in range(op.head + 1, top + 1)), Fraction(0))
+        assert op.norm_bound() == 1.0 + op._mu * (float(inv) + lad.tail_inverse_sum())
+
     def test_extended_continues_by_rule(self):
         lad = pr.build_modulus_ladder(2, 8)
         assert lad.extended_m(8) == lad.m(8)
@@ -370,33 +386,32 @@ class TestRigidity:
     def test_defect_zero_on_shallow_support(self, default_op):
         x = rl.vec_of([0.5, 1j, -1, 0.25, 0.1], dim_cap=default_op.dim_cap)
         # support lives on levels 1..5; time m_5 rotates each exactly back
-        r = pr.rigidity_defect(default_op, 5, [x])
+        [r] = pr.rigidity_defects(default_op, [5], [x])
         assert r.defect == 0.0
 
     def test_defect_below_bound_on_unit_samples(self, default_op):
         samples = [rl.basis_vec(i, default_op.dim_cap) for i in range(1, 4)]
         comb = rl.dyadic_comb(default_op.dim_cap)
         samples.append(rl.Vec(comb.coords / comb.norm(), comb.p))
-        for j in range(1, 12):
-            r = pr.rigidity_defect(default_op, j, samples)
+        for r in pr.rigidity_defects(default_op, range(1, 12), samples):
             assert r.defect <= r.bound + 1e-12
             assert r.bound == pytest.approx(2 * math.pi * float(r.bound_exact))
 
     def test_bound_exact_includes_unbuilt_tail(self, default_op):
-        r = pr.rigidity_defect(default_op, 5, [rl.basis_vec(1, default_op.dim_cap)])
+        [r] = pr.rigidity_defects(default_op, [5], [rl.basis_vec(1, default_op.dim_cap)])
         assert r.bound_exact > default_op.modulus.cert_bound(5)
 
     def test_sample_space_checked(self, default_op):
         with pytest.raises(pr.ConstructionError):
-            pr.rigidity_defect(default_op, 3, [rl.basis_vec(1, default_op.dim_cap + 1)])
+            pr.rigidity_defects(default_op, [3], [rl.basis_vec(1, default_op.dim_cap + 1)])
         with pytest.raises(pr.ConstructionError):
-            pr.rigidity_defect(default_op, 3, [rl.basis_vec(1, default_op.dim_cap, p=1.0)])
+            pr.rigidity_defects(default_op, [3], [rl.basis_vec(1, default_op.dim_cap, p=1.0)])
 
     def test_level_range_checked(self, default_op):
         with pytest.raises(pr.ConstructionError):
-            pr.rigidity_defect(default_op, 0, [])
+            pr.rigidity_defects(default_op, [0], [])
         with pytest.raises(pr.ConstructionError):
-            pr.rigidity_defect(default_op, default_op.levels, [])
+            pr.rigidity_defects(default_op, [default_op.levels], [])
 
 
 class TestAnnihilator:
