@@ -10,13 +10,15 @@ value is checked by `Cfg.get` or `Cfg.items`, and unknown keys are rejected
 with the full field path, so typos fail loudly instead of silently running
 defaults.
 
-Exit codes: 0 success (including honest "not found" outcomes), 1 bad usage
-or bad config (non-finite numbers included), 2 internal error.
+Exit codes: 0 success (including honest "not found" outcomes), 1 bad usage,
+bad config (non-finite numbers included) or an --out-dir that cannot be
+written, 2 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -31,25 +33,49 @@ _MISSING = object()
 
 
 class ConfigError(Exception):
-    pass
+    """The config file or the command line is at fault: exit 1."""
 
 
-_KINDS = {int: "an integer", float: "a number", str: "a string",
-          bool: "true or false", list: "an array"}
+NORM = "norm"  # the kind of a norm exponent: a number, or "sup" for the sup norm
+
+# what each kind accepts, with room for its minimum
+_KINDS = {int: "an integer{}", float: "a number{}", NORM: 'a number{} or "sup"',
+          str: "a string", bool: "true or false", list: "an array",
+          complex: "a number or an [re, im] pair of numbers",
+          Fraction: 'a number or an exact string such as "1/3"'}
 
 
-def _typed(value, where: str, kind: type, minimum=None):
-    """`value` as `kind`, or a ConfigError naming `where`.
+def _typed(value, where: str, kind, minimum=None):
+    """`value` as `kind`, or a ConfigError naming `where` and what it accepts.
 
-    A float kind accepts ints and returns a float; true and false pass only
-    as the bool kind, never as numbers.
+    Types are JSON's own, so true and false are never numbers.  A float or
+    NORM kind accepts ints and returns a float.  A complex is a number or an
+    [re, im] pair of numbers.  A Fraction is a number or a string read
+    exactly, and must fit a float.
     """
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{where!r} must be {_KINDS[kind]}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where!r} must be >= {minimum}")
-    return float(value) if kind is float else value
+    got = None
+    if kind is NORM and value == "sup":
+        got = opcore.SUP
+    elif kind in (float, NORM):
+        got = float(value) if type(value) in (int, float) else None
+    elif kind is complex:
+        parts = value if type(value) is list and len(value) == 2 else [value, 0]
+        got = complex(*parts) if all(type(v) in (int, float) for v in parts) else None
+    elif kind is Fraction:
+        if type(value) in (int, float, str):
+            with contextlib.suppress(ValueError, ZeroDivisionError):
+                got = Fraction(str(value))
+    elif type(value) is kind:
+        got = value
+    if got is None or minimum is not None and got < minimum:
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{where!r} must be {_KINDS[kind].format(at_least)}")
+    if kind is Fraction:
+        try:
+            float(got)  # the grid stores each mesh as a float
+        except OverflowError:
+            raise ConfigError(f"{where!r} is too large for a float") from None
+    return got
 
 
 def _finite(literal: str) -> float:
@@ -60,11 +86,22 @@ def _finite(literal: str) -> float:
     return v
 
 
+def _load(path: str):
+    """The config file as JSON, its non-finite numbers refused."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f, parse_float=_finite, parse_constant=_finite)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
+
+
 class Cfg:
     """A config object with path-aware diagnostics and unknown-key rejection.
 
     `get` and `items` check the values present in the file; an absent key
-    gives its default, or is an error when there is none.
+    gives its default as it is, or is an error when there is none.
     """
 
     def __init__(self, data, path: str = "") -> None:
@@ -95,17 +132,19 @@ class Cfg:
             raise ConfigError(f"missing required config key {self._at(key)!r}")
         return default
 
-    def get(self, key: str, kind: type, default=_MISSING, minimum=None):
-        """The value at `key` checked as `kind`: int, float, str, bool or list."""
+    def get(self, key: str, kind, default=_MISSING, minimum=None):
+        """The value at `key` checked as `kind`, one of the keys of `_KINDS`."""
         if key not in self.data:
             return self.raw(key, default)
         return _typed(self.data[key], self._at(key), kind, minimum)
 
-    def items(self, key: str, kind: type, default=_MISSING, minimum=None) -> list:
+    def items(self, key: str, kind, default=_MISSING, minimum=None) -> list:
         """The array at `key`, each entry checked as `kind` under its own path."""
+        if key not in self.data:
+            return self.raw(key, default)
         where = self._at(key)
         return [_typed(v, f"{where}[{i}]", kind, minimum)
-                for i, v in enumerate(self.get(key, list, default))]
+                for i, v in enumerate(self.get(key, list))]
 
     def sub(self, key: str) -> "Cfg":
         return Cfg(self.raw(key), self._at(key))
@@ -114,27 +153,6 @@ class Cfg:
         """The array of objects at `key`, each a Cfg under its own path."""
         where = self._at(key)
         return [Cfg(v, f"{where}[{i}]") for i, v in enumerate(self.get(key, list))]
-
-
-def _parse_complex(v, where: str) -> complex:
-    if isinstance(v, bool):
-        raise ConfigError(f"{where}: expected a number or [re, im]")
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if (isinstance(v, list) and len(v) == 2
-            and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in v)):
-        return complex(v[0], v[1])
-    raise ConfigError(f"{where}: expected a number or [re, im]")
-
-
-def _parse_norm(v, where: str) -> float:
-    if v == "sup":
-        return opcore.SUP
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}: norm must be \"sup\" or a number >= 1")
-    if v < 1:
-        raise ConfigError(f"{where}: norm exponent must be >= 1")
-    return float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -177,29 +195,14 @@ def _family_generator(cfg: Cfg, horizon: int):
 def operator_from(cfg: Cfg) -> pr.PerturbedRotation:
     cfg.allow("foldN", "mesh", "targets", "dimCap", "norm", "minLevels")
     fold_n = cfg.get("foldN", int, minimum=1)
-    mesh = cfg.get("mesh", list, None)
-    if mesh is None:
-        mesh_vals = pr.DEFAULT_MESH
-    else:
-        try:
-            mesh_vals = tuple(Fraction(str(v)) for v in mesh)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{cfg._at('mesh')!r}: {exc}") from None
-        for i, v in enumerate(mesh_vals):
-            try:
-                float(v)  # the grid stores each mesh as a float
-            except OverflowError:
-                raise ConfigError(f"'{cfg._at('mesh')}[{i}]' is too large for a float") from None
-    targets = []
-    for i, t in enumerate(cfg.get("targets", list, [])):
-        if not isinstance(t, list):
-            raise ConfigError(f"{cfg._at('targets')}[{i}] must be an array")
-        targets.append(tuple(_parse_complex(c, f"{cfg._at('targets')}[{i}][{j}]")
-                             for j, c in enumerate(t)))
+    mesh = cfg.items("mesh", Fraction, pr.DEFAULT_MESH)
+    where = cfg._at("targets")
+    targets = [[_typed(c, f"{where}[{i}][{j}]", complex) for j, c in enumerate(t)]
+               for i, t in enumerate(cfg.items("targets", list, []))]
     dim_cap = cfg.get("dimCap", int, None, minimum=1)
-    p = _parse_norm(cfg.raw("norm", 2), cfg._at("norm"))
+    p = cfg.get("norm", NORM, 2.0, minimum=1)
     min_levels = cfg.get("minLevels", int, 0, minimum=0)
-    return pr.build_operator(fold_n, mesh_vals, targets, dim_cap, p, min_levels)
+    return pr.build_operator(fold_n, mesh, targets, dim_cap, p, min_levels)
 
 
 def vector_from(cfg: Cfg, op: pr.PerturbedRotation) -> opcore.Vec:
@@ -212,9 +215,7 @@ def vector_from(cfg: Cfg, op: pr.PerturbedRotation) -> opcore.Vec:
         return opcore.dyadic_comb(op.dim_cap, op.p)
     if kind == "entries":
         cfg.allow("kind", "values")
-        vals = [_parse_complex(v, f"{cfg._at('values')}[{i}]")
-                for i, v in enumerate(cfg.get("values", list))]
-        return opcore.vec_of(vals, op.dim_cap, op.p)
+        return opcore.vec_of(cfg.items("values", complex), op.dim_cap, op.p)
     raise ConfigError(f"{cfg._at('kind')!r}: unknown vector kind {kind!r}")
 
 
@@ -236,14 +237,22 @@ class Sink:
     def __init__(self, out_dir: str, formats: Sequence[str]) -> None:
         self.out_dir = out_dir
         self.formats = tuple(formats)
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create output directory {out_dir!r}: {exc.strerror}") from None
 
     def want(self, fmt: str) -> bool:
         return fmt in self.formats
 
     def _write(self, fmt: str, name: str, writer, *content) -> None:
         if self.want(fmt):
-            writer(os.path.join(self.out_dir, name), *content)
+            path = os.path.join(self.out_dir, name)
+            try:
+                writer(path, *content)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from None
 
     def json(self, name: str, record: dict) -> None:
         self._write("json", name, report.write_json, record)
@@ -318,7 +327,7 @@ def cmd_rigidity(cfg: Cfg, sink: Sink) -> int:
     op = operator_from(cfg.sub("operator"))
     j_max = cfg.get("jMax", int, op.levels - 1, minimum=1)
     if j_max > op.levels - 1:
-        raise ConfigError(f"jMax must be <= levels - 1 = {op.levels - 1}")
+        raise ConfigError(f"{cfg._at('jMax')!r} must be <= levels - 1 = {op.levels - 1}")
     if cfg.has("samples"):
         samples = [_normalized(vector_from(s, op)) for s in cfg.subs("samples")]
     else:
@@ -487,29 +496,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        with open(args.config, "r", encoding="utf-8") as f:
-            data = json.load(f, parse_float=_finite, parse_constant=_finite)
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    formats = args.format if args.format else ["json"]
-    sink = Sink(args.out_dir, formats)
-    try:
-        cfg = Cfg(data)
-        return _COMMANDS[args.command](cfg, sink)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (natset.NatSetError, opcore.OpcoreError, pr.ConstructionError,
+        cfg = Cfg(_load(args.config))
+        return _COMMANDS[args.command](cfg, Sink(args.out_dir, args.format or ["json"]))
+    except (ConfigError, natset.NatSetError, opcore.OpcoreError, pr.ConstructionError,
             pr.GridResolutionError, dynamics.DynamicsError, OverflowError) as exc:
         # the libraries raise these only on rejected input values, so the
         # configuration is still at fault

@@ -210,12 +210,33 @@ def distance(x: Vec, y: Vec) -> float:
     return Vec(x.coords - y.coords, x.p).norm()
 
 
+# sum |x|^p is a normal float, with 64 bits to spare, while the p-norm lies
+# within 2^(+-_NORMAL_SPAN / p)
+_NORMAL_SPAN = 958
+
+
 def row_norms(rows: np.ndarray, p: float) -> np.ndarray:
     """The p-norm of every row (last axis) of a coordinate array, summed in C
-    order whatever its layout: numpy sums in the order of the memory layout."""
+    order whatever its layout: numpy sums in the order of the memory layout.
+
+    A row whose plain sum of |x|^p would leave the normal floats, by underflow
+    or overflow, is read again as m * ||x / m||_p, with m its largest modulus.
+    """
     if rows.shape[-1] == 0:
         return np.zeros(rows.shape[:-1])
-    return np.linalg.norm(np.ascontiguousarray(rows), ord=p, axis=-1)
+    rows = np.ascontiguousarray(rows)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, ord=p, axis=-1)
+    if p == SUP:
+        return norms
+    low = 2.0 ** (-_NORMAL_SPAN / p)
+    odd = (norms < low) | (norms > 1 / low)
+    # the norm of a zero row is exact, so only rows with a nonzero entry are read again
+    if odd.any() and (odd := odd & rows.any(axis=-1)).any():
+        scale = np.abs(rows[odd]).max(axis=-1)
+        scale[scale == SUP] = 1.0  # an infinite row keeps its norm
+        norms[odd] = scale * np.linalg.norm(rows[odd] / scale[:, None], ord=p, axis=-1)
+    return norms
 
 
 # rows (times x samples) per kernel call: scratch memory stays at a few

@@ -39,7 +39,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .opcore import (_I64_SAFE, SUP, Denominators, Diagonal, Moduli, Operator, Vec,
+from .opcore import (_I64_SAFE, SUP, Denominators, Diagonal, Operator, Vec,
                      basis_vec, diagonal_rotation, displacements, norm_kind, row_norms)
 
 TWO_PI = 2.0 * math.pi
@@ -273,9 +273,10 @@ class PerturbedRotation(Operator):
             [Fraction(1, m(k)) for k in range(1, levels + 1)], self.dim_cap, self.p))
         put("_alpha", np.array([e.alpha for e in self.grid.entries], dtype=np.complex128))
         # the phases 1/m_k of the perturbed levels k = head+1..levels (the head
-        # has m_k = 1), m_{k-1} and sinc(pi/m_k) beside them
+        # has m_k = 1), m_{k-1} and sinc(pi/m_k) beside them; R's table holds
+        # exactly these phases, since it skips the whole turns of the head
         pert = self.modulus.values[self.head:]
-        put("_phases", Moduli([1] * len(pert), pert))
+        put("_phases", self._rotation._turns[1])
         put("_prev", Denominators(self.modulus.values[self.head - 1:-1]))
         put("_unit", np.array([1 / v for v in pert]))
         put("_sinc_unit", np.sinc(self._unit))

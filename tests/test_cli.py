@@ -1,10 +1,13 @@
+import contextlib
 import copy
+import io
 import json
 import os
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import recurlab as rl
 from recurlab import cli, report
@@ -135,6 +138,18 @@ class TestConfigHandling:
                             "--out-dir", str(tmp_path / "o")], capsys)
         assert code == 1 and "not valid JSON" in err
 
+    @pytest.mark.parametrize("horizon, why", [
+        (b'10, "x": "\xff"', "'utf-8' codec can't decode"),
+        (b"1" + b"0" * 5000, "Exceeds the limit (4300 digits)"),
+    ], ids=["not-utf8", "integer-of-5001-digits"])
+    def test_undecodable_config_is_config_error(self, tmp_path, capsys, horizon, why):
+        p = tmp_path / "c.json"
+        p.write_bytes(b'{"horizon": ' + horizon + b', "family": {"kind": "multiples", "p": 2}}')
+        code, out, err = run(["families", "--config", str(p),
+                              "--out-dir", str(tmp_path / "o")], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: config is not valid JSON: {why}")
+
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         code, _, err = run(["families", "--config", str(tmp_path / "absent.json"),
                             "--out-dir", str(tmp_path / "o")], capsys)
@@ -234,6 +249,61 @@ class TestConfigHandling:
         assert code == 1 and out == ""
         assert err.startswith("error: 'multipliers[1]' must be")
 
+    @pytest.mark.parametrize("norm", [0.5, 0, "p2", True, None, [2]])
+    def test_bad_norm_states_the_accepted_forms(self, tmp_path, capsys, norm):
+        cfg = write_cfg(tmp_path, "c.json", {
+            "operator": dict(OP, norm=norm), "eps": 0.1, "horizon": 10,
+            "vector": {"kind": "basis", "index": 1}})
+        code, out, err = run(["orbit", "--config", cfg, "--out-dir", str(tmp_path / "o")],
+                             capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: 'operator.norm' must be a number >= 1 or \"sup\"\n"
+
+    @pytest.mark.parametrize("operator, err", [
+        ({"mesh": [1, True]}, "'operator.mesh[1]' must be a number or an exact string"),
+        ({"mesh": [1, "1/0"]}, "'operator.mesh[1]' must be a number or an exact string"),
+        ({"mesh": [1, None]}, "'operator.mesh[1]' must be a number or an exact string"),
+        ({"targets": [1]}, "'operator.targets[0]' must be an array"),
+        ({"targets": [[1, "x", 0]]}, "'operator.targets[0][1]' must be a number or an [re, im]"),
+        ({"targets": [[1, [0, 1, 2], 0]]},
+         "'operator.targets[0][1]' must be a number or an [re, im]"),
+        ({"targets": [[1, [True, 0], 0]]},
+         "'operator.targets[0][1]' must be a number or an [re, im]"),
+    ], ids=["mesh-bool", "mesh-zero-denominator", "mesh-null", "target-not-array",
+            "target-string", "target-triple", "target-bool-part"])
+    def test_operator_entries_name_their_path(self, tmp_path, capsys, operator, err):
+        cfg = write_cfg(tmp_path, "c.json", {"operator": dict(OP, **operator)})
+        code, out, got = run(["construct", "--config", cfg, "--out-dir", str(tmp_path / "o")],
+                             capsys)
+        assert (code, out) == (1, "") and got.startswith(f"error: {err}")
+
+    def test_vector_values_name_their_index(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "c.json", {
+            "operator": OP, "eps": 0.1, "horizon": 10,
+            "vector": {"kind": "entries", "values": [1, [0, 1], "x"]}})
+        code, out, err = run(["orbit", "--config", cfg, "--out-dir", str(tmp_path / "o")],
+                             capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: 'vector.values[2]' must be a number or an [re, im] pair of numbers\n"
+
+    def test_out_dir_that_is_a_file_exits_one(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "c.json", {"operator": OP})
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        code, out, err = run(["construct", "--config", cfg, "--out-dir", str(taken)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot create output directory {str(taken)!r}: ")
+        assert err.count("\n") == 1 and taken.read_text() == "not a directory"
+
+    def test_directory_in_place_of_a_record_exits_one(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "c.json", {"operator": OP})
+        out_dir = tmp_path / "o"
+        (out_dir / "operator.json").mkdir(parents=True)
+        code, out, err = run(["construct", "--config", cfg, "--out-dir", str(out_dir)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {str(out_dir / 'operator.json')!r}: ")
+        assert err.count("\n") == 1 and os.listdir(out_dir) == ["operator.json"]
+
     def test_empty_depths_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "k.json", {
             "operator": OP, "vector": {"kind": "dyadic-comb"}, "depths": []})
@@ -284,6 +354,129 @@ class TestLeafSubstitution:
                 if code not in (0, 1) or "internal error" in err:
                     bad.append(f"{list(path)} = {value!r}: exit {code}, {err.strip()}")
         assert not bad, "\n".join(bad)
+
+
+# the JSON types a config value accepts, by its key (for an array: by the key of
+# the array); a kind name or an object is not a leaf of its own
+ACCEPTED = {
+    **dict.fromkeys(["horizon", "window", "p", "start", "diff", "foldN", "dimCap",
+                     "minLevels", "jMax", "index", "maxLevel", "multipliers", "scanHead",
+                     "depths"], {int}),
+    **dict.fromkeys(["eps", "delta", "epsSchedule"], {int, float}),
+    **dict.fromkeys(["norm", "mesh"], {int, float, str}),
+    **dict.fromkeys(["targets", "values"], {int, float, list}),
+    "kind": {str},
+    "neighbors": {bool},
+}
+# arrays whose entries are complex numbers, which may be [re, im] pairs, by depth
+COMPLEX_DEPTH = {"targets": 2, "values": 1}
+
+# the criterion-11 configs, and configs that set the keys they leave out
+TYPE_FUZZ_RUNS = CLI_RUNS + [
+    ("construct", {"operator": {"foldN": 2, "dimCap": 64, "mesh": [1, "1/2", 0.25],
+                                "targets": [[1, [0, 1], 0.5]], "norm": 3, "minLevels": 8}}),
+    ("orbit", {"operator": {"foldN": 1, "dimCap": 32, "norm": "sup"}, "eps": 0.1,
+               "horizon": 20, "vector": {"kind": "entries", "values": [1, [0, 1]]}}),
+    ("rigidity", {"operator": {"foldN": 1, "dimCap": 32}, "jMax": 4,
+                  "samples": [{"kind": "basis", "index": 1}]}),
+]
+
+
+def _leaves(node, path=()):
+    """(path, key) of every leaf: a scalar, or a complex entry of an array."""
+    at = max((i for i, k in enumerate(path) if isinstance(k, str)), default=-1)
+    key = path[at] if at >= 0 else None
+    if not isinstance(node, (dict, list)) or len(path) - 1 - at == COMPLEX_DEPTH.get(key):
+        yield path, key
+        return
+    for k, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield from _leaves(child, path + (k,))
+
+
+def _where(path) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+FUZZ_LEAVES = [(command, base, path, key) for command, base in TYPE_FUZZ_RUNS
+               for path, key in _leaves(base)]
+# small values of every JSON type: huge magnitudes are not a question of type
+JSON_TYPES = {str: st.text(max_size=3), bool: st.booleans(), type(None): st.none(),
+              int: st.integers(-3, 3), float: st.floats(-3, 3),
+              list: st.lists(st.integers(0, 3), max_size=3),
+              dict: st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2)}
+
+
+class TestTypeFuzz:
+    """One leaf of a config replaced by a JSON value of a type its key refuses:
+    exit 1, with a message that names the leaf's full path."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_refused_type_names_the_leaf(self, tmp_path_factory, data):
+        command, base, path, key = data.draw(st.sampled_from(FUZZ_LEAVES))
+        value = data.draw(st.one_of([values for kind, values in JSON_TYPES.items()
+                                     if kind not in ACCEPTED[key]]))
+        tmp = tmp_path_factory.getbasetemp()
+        cfg = write_cfg(tmp, "c.json", _substituted(base, path, value))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main([command, "--config", cfg, "--out-dir", str(tmp / "o")])
+        assert code == 1, err.getvalue()
+        assert err.getvalue().startswith(f"error: {_where(path)!r} must be "), err.getvalue()
+
+
+def _payload(tmp_path, capsys, command, cfg, norm):
+    """The record payload of `command` on `cfg` with its operator's norm set to `norm`."""
+    cfg = copy.deepcopy(cfg)
+    cfg["operator"]["norm"] = norm
+    out_dir = tmp_path / f"{command}-{norm}"
+    code, _, err = run([command, "--config", write_cfg(tmp_path, "c.json", cfg),
+                        "--out-dir", str(out_dir)], capsys)
+    assert code == 0, err
+    (record,) = [json.loads(f.read_text()) for f in out_dir.iterdir()]
+    return record["payload"]
+
+
+class TestLargeNormExponents:
+    """A p-norm lies between the sup norm and dim^(1/p) times it, however large p is."""
+
+    QR = {"operator": {"foldN": 2, "dimCap": 64}, "epsSchedule": [1e-12], "maxLevel": 20,
+          "multipliers": [1], "samples": [{"kind": "basis", "index": 1}]}
+
+    @pytest.mark.parametrize("p", [100, 300])
+    def test_qr_search_finds_no_false_zero_defect(self, tmp_path, capsys, p):
+        got = _payload(tmp_path, capsys, "qr-search", self.QR, p)
+        sup = _payload(tmp_path, capsys, "qr-search", self.QR, "sup")
+        assert got["times"] == sup["times"] and "288" not in got["times"]
+        for d, s in zip(got["defects"], sup["defects"]):
+            assert s <= d <= 64 ** (1 / p) * s * (1 + 1e-12)
+
+    def test_qr_search_defect_does_not_overflow(self, tmp_path, capsys):
+        cfg = dict(self.QR, epsSchedule=[0.5], maxLevel=1, multipliers=[7])
+        got = _payload(tmp_path, capsys, "qr-search", cfg, 2000)
+        sup = _payload(tmp_path, capsys, "qr-search", cfg, "sup")
+        assert got["bestTime"] == sup["bestTime"]
+        assert sup["bestDefect"] <= got["bestDefect"] <= 64 ** (1 / 2000) * sup["bestDefect"]
+        assert got["bestDefect"] == pytest.approx(6.99, abs=0.01)
+
+    @pytest.mark.parametrize("p", [30, 40])
+    def test_rigidity_defects_do_not_underflow(self, tmp_path, capsys, p):
+        cfg = {"operator": {"foldN": 2, "dimCap": 64},
+               "samples": [{"kind": "dyadic-comb"}, {"kind": "basis", "index": 24}]}
+        points = _payload(tmp_path, capsys, "rigidity", cfg, p)["points"]
+        assert all(q["defect"] > 0 for q in points if q["j"] >= 9)
+        # R^n e_k - e_k has one nonzero coordinate, whose modulus is its norm for every p
+        cfg["samples"] = [{"kind": "basis", "index": 17}, {"kind": "basis", "index": 24}]
+        got = _payload(tmp_path, capsys, "rigidity", cfg, p)["points"]
+        sup = _payload(tmp_path, capsys, "rigidity", cfg, "sup")["points"]
+        assert [q["defect"] for q in got] == pytest.approx([q["defect"] for q in sup], rel=1e-12)
+
+    def test_orbit_has_no_false_return(self, tmp_path, capsys):
+        cfg = {"operator": {"foldN": 2, "dimCap": 64}, "eps": 0.1, "horizon": 20,
+               "vector": {"kind": "entries", "values": [0.5]}}
+        got = _payload(tmp_path, capsys, "orbit", cfg, 2000)["returnSet"]["elements"]
+        sup = _payload(tmp_path, capsys, "orbit", cfg, "sup")["returnSet"]["elements"]
+        assert set(got) <= set(sup) and 1 not in got
 
 
 class TestFamiliesCommand:
@@ -576,9 +769,6 @@ class TestSampleValidation:
         ("orbit", {"operator": SMALL_OP, "eps": 0.1, "horizon": 10,
                    "vector": {"kind": "basis", "index": 99}},
          "error: basis index 99 outside 1..30\n"),
-        ("orbit", {"operator": dict(SMALL_OP, norm=0.5), "eps": 0.1, "horizon": 10,
-                   "vector": {"kind": "basis", "index": 1}},
-         "error: operator.norm: norm exponent must be >= 1\n"),
     ])
     def test_bad_sample_exits_one(self, tmp_path, capsys, command, cfg, err):
         path = write_cfg(tmp_path, "s.json", cfg)

@@ -46,8 +46,7 @@ def _fresh(name):
 
 
 def test_corpus_holds_exactly_the_entries():
-    on_disk = {f[:-len(".json")] for f in os.listdir(os.path.dirname(regen.golden_path("x")))
-               if f.endswith(".json")}
+    on_disk = {f[:-len(".json")] for f in os.listdir(regen.HERE) if f.endswith(".json")}
     assert on_disk == set(regen.ENTRIES)
 
 

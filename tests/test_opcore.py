@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -61,6 +62,48 @@ class TestVec:
     def test_sup_norm_kind_in_json(self):
         assert rl.diagonal_rotation([], 1, p=SUP).descriptor()["normKind"] == "sup"
         assert rl.diagonal_rotation([], 1, p=2.0).descriptor()["normKind"] == 2.0
+
+
+EXPONENTS = [1.0, 2.0, 3.0, 40.0, 300.0, 2000.0]
+# moduli from 1e-300 to 1e300 in a few directions, and zero
+wide_entry = st.one_of(st.just(0j), st.builds(
+    lambda m, e, u: m * 10.0 ** e * u, st.floats(1, 10), st.integers(-300, 299),
+    st.sampled_from([1, -1, 1j, -1j, 0.6 + 0.8j])))
+wide_rows = st.integers(1, 8).flatmap(lambda d: st.lists(
+    st.lists(wide_entry, min_size=d, max_size=d), min_size=1, max_size=4))
+
+
+def mp_norm(row, p):
+    with mpmath.workdps(40):
+        mods = [mpmath.sqrt(mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2) for z in row]
+        return mpmath.fsum(m ** p for m in mods) ** (1 / mpmath.mpf(p))
+
+
+class TestRowNormsAtExtremeMagnitudes:
+    """sum |x|^p leaves the floats for large p or extreme moduli; the norm must not."""
+
+    def test_large_exponent_does_not_underflow(self):
+        got = rl.vec_of([0.5, 0.5], 8, 2000.0).norm()
+        assert got == pytest.approx(0.5 * 2 ** (1 / 2000), rel=1e-15)
+
+    @given(wide_rows, st.sampled_from(EXPONENTS))
+    def test_bounded_by_sup_and_matches_mpmath(self, rows, p):
+        xs = np.array(rows, dtype=complex)
+        got = rl.opcore.row_norms(xs, p)
+        sup = np.abs(xs).max(axis=-1)
+        assert (sup * (1 - 1e-15) <= got).all()
+        assert (got <= xs.shape[-1] ** (1 / p) * sup * (1 + 1e-15)).all()
+        for row, g in zip(rows, got):
+            assert float(abs(g - mp_norm(row, p))) <= 1e-12 * g
+
+    @given(wide_rows, st.sampled_from(EXPONENTS))
+    def test_rows_of_ordinary_magnitude_keep_their_bits(self, rows, p):
+        xs = np.array(rows, dtype=complex)
+        with np.errstate(over="ignore"):
+            plain = np.linalg.norm(xs, ord=p, axis=-1)
+        edge = 2.0 ** (rl.opcore._NORMAL_SPAN / p)
+        kept = (1 / edge <= plain) & (plain <= edge)
+        assert (rl.opcore.row_norms(xs, p)[kept] == plain[kept]).all()
 
 
 def unit_phase(num, den, n=1):

@@ -204,6 +204,14 @@ class TestPhaseSum:
         with pytest.raises(pr.ConstructionError):
             default_op.phase_sum(4, 0)
 
+    @pytest.mark.parametrize("fold", [1, 2, 3])
+    def test_one_phase_table_for_rotation_and_sums(self, fold):
+        op = pr.build_operator(fold, min_levels=fold + 20)
+        idx, table = op.rotation_part()._turns
+        assert op._phases is table
+        assert idx.tolist() == list(range(op.head, op.levels))
+        assert table.dens.objects.tolist() == list(op.modulus.values[op.head:])
+
 
 @pytest.fixture(scope="module")
 def small_op():
