@@ -51,30 +51,29 @@ def _typed(value, where: str, kind, minimum=None):
     Types are JSON's own, so true and false are never numbers.  A float or
     NORM kind accepts ints and returns a float.  A complex is a number or an
     [re, im] pair of numbers.  A Fraction is a number or a string read
-    exactly, and must fit a float.
+    exactly.  A float, NORM, complex or Fraction value must fit a float.
     """
     got = None
-    if kind is NORM and value == "sup":
-        got = opcore.SUP
-    elif kind in (float, NORM):
-        got = float(value) if type(value) in (int, float) else None
-    elif kind is complex:
-        parts = value if type(value) is list and len(value) == 2 else [value, 0]
-        got = complex(*parts) if all(type(v) in (int, float) for v in parts) else None
-    elif kind is Fraction:
-        if type(value) in (int, float, str):
-            with contextlib.suppress(ValueError, ZeroDivisionError):
-                got = Fraction(str(value))
-    elif type(value) is kind:
-        got = value
+    try:
+        if kind is NORM and value == "sup":
+            got = opcore.SUP
+        elif kind in (float, NORM):
+            got = float(value) if type(value) in (int, float) else None
+        elif kind is complex:
+            parts = value if type(value) is list and len(value) == 2 else [value, 0]
+            got = complex(*parts) if all(type(v) in (int, float) for v in parts) else None
+        elif kind is Fraction:
+            if type(value) in (int, float, str):
+                with contextlib.suppress(ValueError, ZeroDivisionError):
+                    got = Fraction(str(value))
+                    float(got)  # the grid stores each mesh as a float
+        elif type(value) is kind:
+            got = value
+    except OverflowError:
+        raise ConfigError(f"{where!r} is too large for a float") from None
     if got is None or minimum is not None and got < minimum:
         at_least = "" if minimum is None else f" >= {minimum}"
         raise ConfigError(f"{where!r} must be {_KINDS[kind].format(at_least)}")
-    if kind is Fraction:
-        try:
-            float(got)  # the grid stores each mesh as a float
-        except OverflowError:
-            raise ConfigError(f"{where!r} is too large for a float") from None
     return got
 
 

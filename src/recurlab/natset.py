@@ -17,6 +17,8 @@ from itertools import count, groupby
 from operator import sub
 from typing import Optional, Sequence
 
+import numpy as np
+
 
 class NatSetError(ValueError):
     """Raised on malformed set constructions or invalid query parameters."""
@@ -76,7 +78,8 @@ class NatSet:
     def intersection(self, other: "NatSet") -> "NatSet":
         horizon = min(self.horizon, other.horizon)
         small, large = (self, other) if len(self) <= len(other) else (other, self)
-        kept = tuple(e for e in small.elements if e <= horizon and e in large)
+        members = set(large.elements)
+        kept = tuple(e for e in small.elements if e <= horizon and e in members)
         return NatSet(kept, horizon)
 
     def to_json_dict(self) -> dict:
@@ -276,8 +279,8 @@ class DensityReport:
     lower_banach >= 1/(gap+1) - 1/window; the 1/window slack is the price of
     measuring with a finite window.
 
-    The longest-progression statistic can cost O(len^2), so it is computed
-    lazily on first access and cached.
+    The longest progression is found on first access and cached: its search
+    reads pairs of elements, O(len^2) of them at worst, in bounded chunks.
     """
 
     source: NatSet
@@ -322,28 +325,65 @@ class DensityReport:
         }
 
 
+_AP_FIRST_PAIRS = 256  # pairs (a, b) in the first chunk of the progression search
+_AP_MAX_PAIRS = 8192  # later chunks double up to this many pairs
+_AP_WALK = 32  # fewer live chains than this finish by walks over a Python set
+
+
 def _longest_progression(elements: Sequence[int]) -> int:
-    """Longest arithmetic progression in the sorted elements, in O(len) memory:
-    each is walked once from its first two terms a < b, and d = b - a grows
-    with b, so once a + longest * d passes the last element no later b can do better."""
-    if len(elements) < 3:
-        return len(elements)
-    members = set(elements)
+    """Longest arithmetic progression in the sorted elements, searched in numpy.
+
+    `longest` starts at the longest run of equal consecutive gaps.  A chain
+    with first terms a < b, d = b - a, beats it only if a + longest * d <= last,
+    so only those pairs are read, in chunks of start elements that grow from
+    _AP_FIRST_PAIRS to _AP_MAX_PAIRS pairs (scratch memory O(_AP_MAX_PAIRS +
+    len)); the small first chunks raise `longest` before the bulk is read.  Pairs
+    with a - d in the set start no chain; the rest grow one term per step.
+    The elements are Python ints once the last reaches 2^62: b + d cannot overflow.
+    """
+    size = len(elements)
+    if size < 3:
+        return size
     last = elements[-1]
-    longest = 2
-    for i, a in enumerate(elements):
-        for b in elements[i + 1:]:
-            d = b - a
-            if a + longest * d > last:
-                break
-            if a - d in members:
-                continue
-            length = 2
-            nxt = b + d
-            while nxt in members:
-                length += 1
-                nxt += d
-            longest = max(longest, length)
+    els = np.array(elements, dtype=np.int64 if last < 2 ** 62 else object)
+
+    def member(x):
+        return els[np.minimum(np.searchsorted(els, x), size - 1)] == x
+
+    gaps = np.diff(els)
+    edges = np.flatnonzero(np.concatenate(([True], gaps[1:] != gaps[:-1], [True])))
+    longest = 1 + int(np.diff(edges).max())
+    start, budget, pruned_at, members = 0, _AP_FIRST_PAIRS, 0, None
+    while start < size - 2:
+        if pruned_at != longest:  # cum[k]: pairs of the starts base .. base + k - 1
+            heads = els[start:]
+            reach = np.searchsorted(els, heads + (last - heads) // longest, "right")
+            counts = np.maximum(reach - np.arange(start + 1, size + 1), 0)
+            cum, base, pruned_at = np.concatenate(([0], np.cumsum(counts))), start, longest
+        done = cum[start - base]
+        if done == cum[-1]:
+            break
+        stop = base + max(int(np.searchsorted(cum, done + budget, "right")) - 1, start - base + 1)
+        per_start = counts[start - base:stop - base]
+        a_at = np.repeat(np.arange(start, stop), per_start)
+        rank = np.arange(a_at.size) - np.repeat(cum[start - base:stop - base] - done, per_start)
+        a, b = els[a_at], els[a_at + 1 + rank]
+        d = b - a
+        fresh = ~member(a - d)
+        nxt, d, length = b[fresh] + d[fresh], d[fresh], 2
+        while len(nxt) >= _AP_WALK:
+            hit = member(nxt)
+            nxt, d = nxt[hit] + d[hit], d[hit]
+            length += len(nxt) > 0
+        longest = max(longest, length)
+        if len(nxt):
+            members = members or set(elements)
+            for x, step in zip(nxt.tolist(), d.tolist()):
+                terms = length
+                while x in members:
+                    terms, x = terms + 1, x + step
+                longest = max(longest, terms)
+        start, budget = stop, min(2 * budget, _AP_MAX_PAIRS)
     return longest
 
 

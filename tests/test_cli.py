@@ -286,6 +286,21 @@ class TestConfigHandling:
         assert (code, out) == (1, "")
         assert err == "error: 'vector.values[2]' must be a number or an [re, im] pair of numbers\n"
 
+    @pytest.mark.parametrize("change, where", [
+        ({"eps": 10 ** 400}, "eps"),
+        ({"operator": dict(OP, targets=[[10 ** 400, 0, 0]])}, "operator.targets[0][0]"),
+        ({"operator": dict(OP, targets=[[1, [0, -10 ** 400], 0]])}, "operator.targets[0][1]"),
+        ({"operator": dict(OP, norm=10 ** 400)}, "operator.norm"),
+    ], ids=["eps", "target", "target-imaginary-part", "norm"])
+    def test_integer_too_large_for_a_float_names_its_path(self, tmp_path, capsys, change, where):
+        cfg = write_cfg(tmp_path, "c.json", {
+            "operator": OP, "eps": 0.1, "horizon": 10,
+            "vector": {"kind": "basis", "index": 1}, **change})
+        code, out, err = run(["orbit", "--config", cfg, "--out-dir", str(tmp_path / "o")],
+                             capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: '{where}' is too large for a float\n"
+
     def test_out_dir_that_is_a_file_exits_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {"operator": OP})
         taken = tmp_path / "taken"

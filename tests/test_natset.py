@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import recurlab as rl
 from recurlab import natset
@@ -117,6 +117,15 @@ class TestNatSet:
         d = a.to_json_dict()
         assert d == {"elements": [1, 2, 8], "horizon": 12}
         assert rl.NatSet(tuple(d["elements"]), d["horizon"]) == a
+
+    @given(st.sets(st.integers(0, 60), max_size=40), st.integers(0, 60),
+           st.sets(st.integers(0, 60), max_size=40), st.integers(0, 60))
+    def test_intersection_matches_set_intersection(self, xs, hx, ys, hy):
+        a = rl.NatSet(tuple(sorted(x for x in xs if x <= hx)), hx)
+        b = rl.NatSet(tuple(sorted(y for y in ys if y <= hy)), hy)
+        want = tuple(sorted(e for e in set(a) & set(b) if e <= min(hx, hy)))
+        for got in (a.intersection(b), b.intersection(a)):
+            assert (got.elements, got.horizon) == (want, min(hx, hy))
 
     @given(st.sets(st.integers(0, 40), max_size=15), st.integers(0, 40))
     def test_restrict_matches_filter(self, els, h):
@@ -387,12 +396,40 @@ def pair_dp_longest_progression(elements):
     return longest
 
 
+@st.composite
+def planted_progressions(draw):
+    """Noise with one progression planted in it, of length up to 40."""
+    noise = draw(st.sets(st.integers(0, 5000), max_size=60))
+    start, diff = draw(st.integers(0, 2000)), draw(st.integers(1, 120))
+    return noise | set(range(start, start + diff * draw(st.integers(3, 40)), diff))
+
+
+@st.composite
+def equal_gap_runs(draw):
+    """A long run of equal gaps with a few elements added on either side of it."""
+    start, diff = draw(st.integers(0, 100)), draw(st.integers(1, 9))
+    run = range(start, start + diff * draw(st.integers(2, 80)), diff)
+    return set(run) | draw(st.sets(st.integers(0, 1000), max_size=8))
+
+
 class TestLongestProgression:
     @given(st.one_of(st.sets(st.integers(0, 40), max_size=30),
-                     st.sets(st.integers(0, 10 ** 6), max_size=40)))
+                     st.sets(st.integers(0, 10 ** 6), max_size=40),
+                     st.sets(st.integers(0, 400), min_size=40, max_size=120),
+                     planted_progressions(), equal_gap_runs(),
+                     st.sets(st.integers(0, 10 ** 20), max_size=2)))
+    @settings(max_examples=200)
     def test_matches_pair_dp(self, els):
         e = tuple(sorted(els))
         assert natset._longest_progression(e) == pair_dp_longest_progression(e)
+
+    @given(st.one_of(st.sets(st.integers(0, 300), max_size=60), planted_progressions()))
+    def test_translation_invariant_past_int64(self, els):
+        # shifts of 2^62 and more hold the elements as Python ints
+        e = sorted(els)
+        want = pair_dp_longest_progression(e)
+        for shift in (0, 2 ** 62, 2 ** 70):
+            assert natset._longest_progression(tuple(x + shift for x in e)) == want
 
     def test_progression_hidden_in_noise(self):
         rng = random.Random(3)
