@@ -13,11 +13,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, groupby
-from operator import sub
+from itertools import compress, count, groupby, repeat
+from operator import ne, sub
 from typing import Optional, Sequence
-
-import numpy as np
 
 
 class NatSetError(ValueError):
@@ -280,7 +278,7 @@ class DensityReport:
     measuring with a finite window.
 
     The longest progression is found on first access and cached: its search
-    reads pairs of elements, O(len^2) of them at worst, in bounded chunks.
+    reads pairs of elements, O(len^2) of them at worst, in O(len) memory.
     """
 
     source: NatSet
@@ -325,65 +323,39 @@ class DensityReport:
         }
 
 
-_AP_FIRST_PAIRS = 256  # pairs (a, b) in the first chunk of the progression search
-_AP_MAX_PAIRS = 8192  # later chunks double up to this many pairs
-_AP_WALK = 32  # fewer live chains than this finish by walks over a Python set
-
-
 def _longest_progression(elements: Sequence[int]) -> int:
-    """Longest arithmetic progression in the sorted elements, searched in numpy.
+    """Longest arithmetic progression in the sorted elements.
 
     `longest` starts at the longest run of equal consecutive gaps.  A chain
-    with first terms a < b, d = b - a, beats it only if a + longest * d <= last,
-    so only those pairs are read, in chunks of start elements that grow from
-    _AP_FIRST_PAIRS to _AP_MAX_PAIRS pairs (scratch memory O(_AP_MAX_PAIRS +
-    len)); the small first chunks raise `longest` before the bulk is read.  Pairs
-    with a - d in the set start no chain; the rest grow one term per step.
-    The elements are Python ints once the last reaches 2^62: b + d cannot overflow.
+    with first terms a < b, d = b - a, beats it only if a + longest * d <= last
+    and a has `longest` elements after it, so only those pairs are read; the
+    inner loops over them run in C (maps over slices, set probes), and the
+    scratch is one set and three lists, none longer than the input.  A pair
+    goes on only if its third term 2b - a is a member and a - d is not (else
+    a chain starting lower already covers it); those chains are walked to
+    their end.
     """
     size = len(elements)
     if size < 3:
         return size
+    steps = list(map(sub, elements[1:], elements))
+    runs = [0, *compress(count(1), map(ne, steps[1:], steps)), len(steps)]
+    longest = 1 + max(map(sub, runs[1:], runs))
+    members = set(elements)
+    doubled = [e + e for e in elements]
     last = elements[-1]
-    els = np.array(elements, dtype=np.int64 if last < 2 ** 62 else object)
-
-    def member(x):
-        return els[np.minimum(np.searchsorted(els, x), size - 1)] == x
-
-    gaps = np.diff(els)
-    edges = np.flatnonzero(np.concatenate(([True], gaps[1:] != gaps[:-1], [True])))
-    longest = 1 + int(np.diff(edges).max())
-    start, budget, pruned_at, members = 0, _AP_FIRST_PAIRS, 0, None
-    while start < size - 2:
-        if pruned_at != longest:  # cum[k]: pairs of the starts base .. base + k - 1
-            heads = els[start:]
-            reach = np.searchsorted(els, heads + (last - heads) // longest, "right")
-            counts = np.maximum(reach - np.arange(start + 1, size + 1), 0)
-            cum, base, pruned_at = np.concatenate(([0], np.cumsum(counts))), start, longest
-        done = cum[start - base]
-        if done == cum[-1]:
+    for i, a in enumerate(elements):
+        if i >= size - longest:
             break
-        stop = base + max(int(np.searchsorted(cum, done + budget, "right")) - 1, start - base + 1)
-        per_start = counts[start - base:stop - base]
-        a_at = np.repeat(np.arange(start, stop), per_start)
-        rank = np.arange(a_at.size) - np.repeat(cum[start - base:stop - base] - done, per_start)
-        a, b = els[a_at], els[a_at + 1 + rank]
-        d = b - a
-        fresh = ~member(a - d)
-        nxt, d, length = b[fresh] + d[fresh], d[fresh], 2
-        while len(nxt) >= _AP_WALK:
-            hit = member(nxt)
-            nxt, d = nxt[hit] + d[hit], d[hit]
-            length += len(nxt) > 0
-        longest = max(longest, length)
-        if len(nxt):
-            members = members or set(elements)
-            for x, step in zip(nxt.tolist(), d.tolist()):
-                terms = length
-                while x in members:
-                    terms, x = terms + 1, x + step
-                longest = max(longest, terms)
-        start, budget = stop, min(2 * budget, _AP_MAX_PAIRS)
+        hi = bisect_right(elements, a + (last - a) // longest, i + 1)
+        for third in members.intersection(map(sub, doubled[i + 1:hi], repeat(a))):
+            d = (third - a) >> 1
+            if a - d in members:
+                continue
+            terms, x = 3, third + d
+            while x in members:
+                terms, x = terms + 1, x + d
+            longest = max(longest, terms)
     return longest
 
 

@@ -425,7 +425,7 @@ class TestLongestProgression:
 
     @given(st.one_of(st.sets(st.integers(0, 300), max_size=60), planted_progressions()))
     def test_translation_invariant_past_int64(self, els):
-        # shifts of 2^62 and more hold the elements as Python ints
+        # exact for ints of any size: shifts of 2^62 and more leave int64
         e = sorted(els)
         want = pair_dp_longest_progression(e)
         for shift in (0, 2 ** 62, 2 ** 70):
