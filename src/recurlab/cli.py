@@ -25,9 +25,13 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import dynamics, natset, opcore, perturbed_rotation as pr, report
+# the operator modules (and numpy) load in the commands that use them
+from . import natset, report
+
+if TYPE_CHECKING:
+    from . import opcore, perturbed_rotation as pr
 
 _MISSING = object()
 
@@ -56,7 +60,8 @@ def _typed(value, where: str, kind, minimum=None):
     got = None
     try:
         if kind is NORM and value == "sup":
-            got = opcore.SUP
+            from .opcore import SUP
+            got = SUP
         elif kind in (float, NORM):
             got = float(value) if type(value) in (int, float) else None
         elif kind is complex:
@@ -192,6 +197,7 @@ def _family_generator(cfg: Cfg, horizon: int):
 
 
 def operator_from(cfg: Cfg) -> pr.PerturbedRotation:
+    from . import perturbed_rotation as pr
     cfg.allow("foldN", "mesh", "targets", "dimCap", "norm", "minLevels")
     fold_n = cfg.get("foldN", int, minimum=1)
     mesh = cfg.items("mesh", Fraction, pr.DEFAULT_MESH)
@@ -205,6 +211,7 @@ def operator_from(cfg: Cfg) -> pr.PerturbedRotation:
 
 
 def vector_from(cfg: Cfg, op: pr.PerturbedRotation) -> opcore.Vec:
+    from . import opcore
     kind = cfg.get("kind", str)
     if kind == "basis":
         cfg.allow("kind", "index")
@@ -219,10 +226,11 @@ def vector_from(cfg: Cfg, op: pr.PerturbedRotation) -> opcore.Vec:
 
 
 def _normalized(x: opcore.Vec) -> opcore.Vec:
+    from .opcore import Vec
     n = x.norm()
     if n == 0:
         raise ConfigError("cannot normalize the zero vector")
-    return opcore.Vec(x.coords / n, x.p)
+    return Vec(x.coords / n, x.p)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +330,7 @@ def cmd_construct(cfg: Cfg, sink: Sink) -> int:
 
 def cmd_rigidity(cfg: Cfg, sink: Sink) -> int:
     """rotation return defects along the ladder"""
+    from . import opcore, perturbed_rotation as pr
     cfg.allow("operator", "jMax", "samples")
     op = operator_from(cfg.sub("operator"))
     j_max = cfg.get("jMax", int, op.levels - 1, minimum=1)
@@ -354,6 +363,7 @@ def cmd_rigidity(cfg: Cfg, sink: Sink) -> int:
 
 def cmd_orbit(cfg: Cfg, sink: Sink) -> int:
     """return set and density profile of one vector"""
+    from . import dynamics
     cfg.allow("operator", "vector", "eps", "horizon", "window")
     op = operator_from(cfg.sub("operator"))
     x = vector_from(cfg.sub("vector"), op)
@@ -379,6 +389,7 @@ def cmd_orbit(cfg: Cfg, sink: Sink) -> int:
 
 def cmd_qr_search(cfg: Cfg, sink: Sink) -> int:
     """greedy shrinking-defect return time search"""
+    from . import dynamics, perturbed_rotation as pr
     cfg.allow("operator", "rotationOnly", "epsSchedule", "samples", "maxLevel",
               "multipliers", "neighbors", "scanHead")
     op = operator_from(cfg.sub("operator"))
@@ -422,8 +433,8 @@ def cmd_period(cfg: Cfg, sink: Sink) -> int:
     horizon, window = _horizon_window(cfg)
     delta = cfg.get("delta", float)
     a = family_set(cfg.sub("family"), horizon)
-    cls = dynamics.classify_period_by_density(a, window, delta)
-    exact = dynamics.detect_period(a)
+    cls = natset.classify_period_by_density(a, window, delta)
+    exact = natset.detect_period(a)
     payload = {"classification": cls.to_json_dict(), "exactPeriod": exact}
     sink.json("period.json", report.make_record("period", cfg.data, payload))
     print(f"period dense={cls.dense} bound={cls.bound} period={cls.period} "
@@ -433,6 +444,7 @@ def cmd_period(cfg: Cfg, sink: Sink) -> int:
 
 def cmd_krylov(cfg: Cfg, sink: Sink) -> int:
     """orbit span rank growth"""
+    from . import opcore
     cfg.allow("operator", "vector", "depth", "depths")
     op = operator_from(cfg.sub("operator"))
     x = vector_from(cfg.sub("vector"), op)
@@ -499,8 +511,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = Cfg(_load(args.config))
         return _COMMANDS[args.command](cfg, Sink(args.out_dir, args.format or ["json"]))
-    except (ConfigError, natset.NatSetError, opcore.OpcoreError, pr.ConstructionError,
-            pr.GridResolutionError, dynamics.DynamicsError, OverflowError) as exc:
+    except (ConfigError, natset.RecurlabError, OverflowError) as exc:
         # the libraries raise these only on rejected input values, so the
         # configuration is still at fault
         print(f"error: {exc}", file=sys.stderr)

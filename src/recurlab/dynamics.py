@@ -14,20 +14,18 @@ input of the density machinery.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .natset import NatSet, density_profile, window_pair_witness
+from .natset import NatSet, RecurlabError
 from .opcore import Vec, displacements, stack
 from .perturbed_rotation import PerturbedRotation
 
 
-class DynamicsError(ValueError):
+class DynamicsError(RecurlabError):
     pass
 
 
@@ -148,69 +146,6 @@ def quasi_rigidity_search(op, samples: Sequence[Vec], eps_schedule: Sequence[flo
         times.append(prev)
         defects.append(float(worst[ok[0]]))
     return QrWitness(tuple(times), tuple(defects))
-
-
-# ---------------------------------------------------------------------------
-# period classification from density
-
-@dataclass(frozen=True)
-class PeriodClassification:
-    """Gap structure forced on a return set by a density threshold.
-
-    When the upper Banach density (measured at the report's window) exceeds
-    delta, some window of length floor(1/delta) + 1 holds two returns, so
-    the set contains a gap of at most floor(1/delta); the least such
-    witnessed gap is reported as `period`.  A gap of exactly one pins the
-    orbit point to within twice the return radius of a fixed vector.
-    """
-
-    delta: float
-    bound: int
-    dense: bool
-    period: Optional[int]
-    witness: Optional[tuple[int, int]]
-    fixed_point: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "bound": self.bound,
-            "dense": self.dense,
-            "period": self.period,
-            "witness": list(self.witness) if self.witness else None,
-            "fixedPoint": self.fixed_point,
-        }
-
-
-def classify_period_by_density(a: NatSet, window: int, delta: float) -> PeriodClassification:
-    if not 0 < delta <= 1:
-        raise DynamicsError("delta must lie in (0, 1]")
-    report = density_profile(a, window)
-    bound = math.floor(1.0 / delta)
-    dense = report.upper_banach > Fraction(str(delta))
-    period = None
-    witness = None
-    if dense:
-        start = window_pair_witness(a, bound + 1)
-        if start is not None:
-            # the first two elements of the window (start, start + bound + 1]
-            i = bisect_right(a.elements, start)
-            lo, hi = a.elements[i], a.elements[i + 1]
-            witness = (lo, hi)
-            period = hi - lo
-    return PeriodClassification(delta, bound, dense, period, witness,
-                                report.contains_consecutive_pair)
-
-
-def detect_period(a: NatSet) -> Optional[int]:
-    """Common difference when the set is a full arithmetic progression."""
-    e = a.elements
-    if len(e) < 2:
-        return None
-    d = e[1] - e[0]
-    if any(y - x != d for x, y in zip(e, e[1:])):
-        return None
-    return d
 
 
 # ---------------------------------------------------------------------------

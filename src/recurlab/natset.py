@@ -18,7 +18,11 @@ from operator import ne, sub
 from typing import Optional, Sequence
 
 
-class NatSetError(ValueError):
+class RecurlabError(ValueError):
+    """Base of every library error raised on a rejected input value."""
+
+
+class NatSetError(RecurlabError):
     """Raised on malformed set constructions or invalid query parameters."""
 
 
@@ -77,8 +81,7 @@ class NatSet:
         horizon = min(self.horizon, other.horizon)
         small, large = (self, other) if len(self) <= len(other) else (other, self)
         members = set(large.elements)
-        kept = tuple(e for e in small.elements if e <= horizon and e in members)
-        return NatSet(kept, horizon)
+        return NatSet(tuple(filter(members.__contains__, small.elements)), horizon)
 
     def to_json_dict(self) -> dict:
         return {"elements": list(self.elements), "horizon": self.horizon}
@@ -459,3 +462,53 @@ def window_pair_witness(a: NatSet, n: int) -> Optional[int]:
         if s_min <= min(lo - 1, a.horizon - n):
             return s_min
     return None
+
+
+@dataclass(frozen=True)
+class PeriodClassification:
+    """Gap structure forced on a return set by a density threshold.
+
+    When the upper Banach density (measured at the report's window) exceeds
+    delta, some window of length floor(1/delta) + 1 holds two returns, so
+    the set contains a gap of at most floor(1/delta); the least such
+    witnessed gap is reported as `period`.  A gap of exactly one pins the
+    orbit point to within twice the return radius of a fixed vector.
+    """
+
+    delta: float
+    bound: int
+    dense: bool
+    period: Optional[int]
+    witness: Optional[tuple[int, int]]
+    fixed_point: bool
+
+    def to_json_dict(self) -> dict:
+        return {"delta": self.delta, "bound": self.bound, "dense": self.dense,
+                "period": self.period,
+                "witness": list(self.witness) if self.witness else None,
+                "fixedPoint": self.fixed_point}
+
+
+def classify_period_by_density(a: NatSet, window: int, delta: float) -> PeriodClassification:
+    if not 0 < delta <= 1:
+        raise NatSetError("delta must lie in (0, 1]")
+    report = density_profile(a, window)
+    bound = math.floor(1.0 / delta)
+    dense = report.upper_banach > Fraction(str(delta))
+    period = witness = None
+    if dense:
+        start = window_pair_witness(a, bound + 1)
+        if start is not None:
+            # the first two elements of the window (start, start + bound + 1]
+            i = bisect_right(a.elements, start)
+            lo, hi = a.elements[i], a.elements[i + 1]
+            witness = (lo, hi)
+            period = hi - lo
+    return PeriodClassification(delta, bound, dense, period, witness,
+                                report.contains_consecutive_pair)
+
+
+def detect_period(a: NatSet) -> Optional[int]:
+    """Common difference when the set is a full arithmetic progression."""
+    steps = set(map(sub, a.elements[1:], a.elements))
+    return steps.pop() if len(steps) == 1 else None

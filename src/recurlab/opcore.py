@@ -48,6 +48,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from .natset import RecurlabError
+
 SUP = math.inf
 
 PhaseOrValue = Union[complex, Fraction]
@@ -58,7 +60,7 @@ def norm_kind(p: float) -> Union[str, float]:
     return "sup" if p == SUP else p
 
 
-class OpcoreError(ValueError):
+class OpcoreError(RecurlabError):
     pass
 
 

@@ -39,17 +39,18 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .natset import RecurlabError
 from .opcore import (_I64_SAFE, SUP, Denominators, Diagonal, Operator, Vec,
                      basis_vec, diagonal_rotation, displacements, norm_kind, row_norms)
 
 TWO_PI = 2.0 * math.pi
 
 
-class ConstructionError(ValueError):
+class ConstructionError(RecurlabError):
     pass
 
 
-class GridResolutionError(ValueError):
+class GridResolutionError(RecurlabError):
     pass
 
 

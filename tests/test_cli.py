@@ -38,6 +38,21 @@ def slurp_dir(out_dir):
             for name in sorted(os.listdir(out_dir))}
 
 
+# every error class the libraries raise on a rejected input value
+LIBRARY_ERRORS = ["NatSetError", "OpcoreError", "ConstructionError",
+                  "GridResolutionError", "DynamicsError"]
+
+
+def run_raising(tmp_path, capsys, monkeypatch, error):
+    """Run `families` with its command replaced by one that raises `error`."""
+    def reject(cfg, sink):
+        raise error("rejected value")
+    monkeypatch.setitem(cli._COMMANDS, "families", reject)
+    cfg = write_cfg(tmp_path, "f.json", {
+        "horizon": 40, "family": {"kind": "multiples", "p": 5}})
+    return run(["families", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+
+
 class TestDeterminism:
     def test_construct_is_byte_stable(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {"operator": {"foldN": 2,
@@ -238,6 +253,20 @@ class TestConfigHandling:
         code, _, err = run(["families", "--config", cfg,
                             "--out-dir", str(tmp_path / "o")], capsys)
         assert code == 2 and "internal error" in err and "wires crossed" in err
+
+    def test_library_errors_share_one_base(self):
+        assert issubclass(rl.RecurlabError, ValueError)
+        assert [name for name in LIBRARY_ERRORS
+                if not issubclass(getattr(rl, name), rl.RecurlabError)] == []
+
+    @pytest.mark.parametrize("name", LIBRARY_ERRORS)
+    def test_library_error_exits_one(self, tmp_path, capsys, monkeypatch, name):
+        code, out, err = run_raising(tmp_path, capsys, monkeypatch, getattr(rl, name))
+        assert code == 1 and out == "" and err == "error: rejected value\n"
+
+    def test_bare_value_error_exits_two(self, tmp_path, capsys, monkeypatch):
+        code, _, err = run_raising(tmp_path, capsys, monkeypatch, ValueError)
+        assert code == 2 and err == "internal error: ValueError: rejected value\n"
 
     @pytest.mark.parametrize("value", ["x", None, [], {}, 0, 1.5])
     def test_multiplier_entries_are_validated(self, tmp_path, capsys, value):
@@ -685,6 +714,14 @@ class TestQrSearchCommand:
 
 
 class TestPeriodCommand:
+    def test_delta_out_of_range_exits_one(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "p.json", {
+            "horizon": 100, "delta": 0, "family": {"kind": "multiples", "p": 5}})
+        code, out, err = run(["period", "--config", cfg,
+                              "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: delta must lie in (0, 1]\n"
+
     def test_exact_period_detected(self, tmp_path, capsys):
         out_dir = str(tmp_path / "o")
         cfg = write_cfg(tmp_path, "p.json", {

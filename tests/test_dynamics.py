@@ -168,7 +168,7 @@ class TestPeriodClassification:
     def test_delta_range_checked(self):
         a = Multiples(2).materialize(100)
         for bad in (0.0, -0.1, 1.0000001):
-            with pytest.raises(dyn.DynamicsError):
+            with pytest.raises(rl.NatSetError, match=r"delta must lie in \(0, 1\]"):
                 rl.classify_period_by_density(a, 10, bad)
         # delta = 1 is legal but nothing exceeds it
         assert not rl.classify_period_by_density(a, 10, 1.0).dense
