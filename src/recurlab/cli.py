@@ -244,17 +244,17 @@ class Sink:
     def __init__(self, out_dir: str, formats: Sequence[str]) -> None:
         self.out_dir = out_dir
         self.formats = tuple(formats)
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(
-                f"cannot create output directory {out_dir!r}: {exc.strerror}") from None
 
     def want(self, fmt: str) -> bool:
         return fmt in self.formats
 
     def _write(self, fmt: str, name: str, writer, *content) -> None:
         if self.want(fmt):
+            try:  # on the first write, so a rejected config leaves no directory behind
+                os.makedirs(self.out_dir, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create output directory {self.out_dir!r}: "
+                                  f"{exc.strerror}") from None
             path = os.path.join(self.out_dir, name)
             try:
                 writer(path, *content)

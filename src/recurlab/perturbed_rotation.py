@@ -102,19 +102,23 @@ class ModulusLadder:
         return Fraction(self.m(j) * self.suffix_sums[j], self.values[-1])
 
     def coupling_sum(self, j: int) -> Fraction:
-        """Rational upper bound on the infinite sum of m_j / m_k over k > j.
+        """Exact upper bound m_j (S_j / m_L + `tail`(1, levels + 2)) on sum_{k > j} m_j / m_k."""
+        top, t = self.values[-1], self.tail(1, self.levels + 2)
+        return Fraction(self.m(j) * (self.suffix_sums[j] * t.denominator + top * t.numerator),
+                        top * t.denominator)
 
-        The finite part is exact; the part beyond the built levels is dominated
-        through the growth factor by a geometric comparison: m_j / (m_L g0) (1 + 2/g1).
-        """
-        g0, g1 = self.growth(self.levels), self.growth(self.levels + 1)
-        return Fraction(self.m(j) * (self.suffix_sums[j] * g0 * g1 + g1 + 2),
-                        self.values[-1] * g0 * g1)
-
-    def tail_inverse_sum(self) -> float:
-        """Upper estimate of sum_{k > levels} 1/m_{k-1}."""
-        g = self.growth(self.levels)
-        return (g + 2) / (self.m(self.levels) * g)
+    def tail(self, n: int, first: int) -> Fraction:
+        """Exact upper bound, nondecreasing in n, on sum_{k >= first} min(2n, m_k) / (2 m_{k-1})
+        over the continued ladder (`extended_m`), first past the unit head block.  While 2n > m_k
+        the term is g_{k-1} / 2, added exactly.  From the first k with 2n <= m_k on, each term is
+        n / m_{k-1}, at most half the one before as every growth factor is >= 2: the rest is at
+        most that term plus twice the next one, floored at 1 after a saturated term (twice the
+        next term was 1 when that term saturated), so the bound does not fall there."""
+        k, m, saturated = first - 1, self.extended_m(first - 1), 0
+        while 2 * n > m * (g := self.growth(k)):
+            saturated, m, k = saturated + g, m * g, k + 1
+        rest = Fraction(n * (g + 2), m * g)  # n / m + 2n / (m g)
+        return Fraction(saturated, 2) + max(rest, 1) if saturated else rest
 
 
 def build_modulus_ladder(fold_n: int, levels: int) -> ModulusLadder:
@@ -281,9 +285,6 @@ class PerturbedRotation(Operator):
         put("_prev", Denominators(self.modulus.values[self.head - 1:-1]))
         put("_unit", np.array([1 / v for v in pert]))
         put("_sinc_unit", np.sinc(self._unit))
-        # (2 m_{k-1}, m_k) for the six levels past the truncation, the last twice, for losses
-        ext = [self.modulus.extended_m(k) for k in range(levels, levels + 7)]
-        put("_tail", list(zip([2 * v for v in ext], ext[1:])) + [(2 * ext[5], ext[6])])
         # |<w_k, P x>| <= norm_equiv_upper * K * ||x|| by Holder: the factor of
         # both the truncation loss and the norm bound
         put("_mu", self.norm_equiv_upper() * self.functional_bound)
@@ -333,7 +334,7 @@ class PerturbedRotation(Operator):
         """1 plus the coupling factor times the summed perturbation weights."""
         # sum_{k=head+1}^{levels} 1/m_{k-1}: every level from head on but the last
         inv = Fraction(self.modulus.suffix_sums[self.head - 1] - 1, self.modulus.values[-1])
-        return 1.0 + self._mu * (float(inv) + self.modulus.tail_inverse_sum())
+        return 1.0 + self._mu * (float(inv) + float(self.modulus.tail(1, self.levels + 1)))
 
     # -- phase sums -----------------------------------------------------------
 
@@ -424,14 +425,12 @@ class PerturbedRotation(Operator):
     # -- action ---------------------------------------------------------------
 
     def losses(self, ns: Iterable[int], xs: np.ndarray) -> np.ndarray:
-        """mu * ||x|| * tail(n), an estimate of the perturbation the untruncated T^n
-        would add past the levels: coefficients there are bounded by
-        min(2n, m_k)/(2 m_{k-1}), each term one int/int division, and six explicit
-        terms plus a geometric remainder, dominated by one extra term, bound the sum."""
-        tail = [functools.reduce(operator.add, [min(2 * n, m_k) / two_prev
-                                                for two_prev, m_k in self._tail])
-                for n in self._times(ns, xs)]  # plain float additions, in order
-        return np.array(tail, dtype=np.float64)[:, None] * (self._mu * row_norms(xs, self.p))
+        """mu * ||x|| * tail(n), an upper bound for every n on the perturbation the untruncated
+        T^n adds past the levels, whose coefficients min(2n, m_k)/(2 m_{k-1}) `ModulusLadder.tail`
+        sums to an exact bound, rounded up to a float (OverflowError past float range)."""
+        tails = [self.modulus.tail(n, self.levels + 1) for n in self._times(ns, xs)]
+        up = [math.nextafter(f, math.inf) if f < t else f for t, f in zip(tails, map(float, tails))]
+        return np.array(up, dtype=np.float64)[:, None] * (self._mu * row_norms(xs, self.p))
 
     def powers(self, ns: Iterable[int], xs: np.ndarray) -> np.ndarray:
         """T^n x for a block of times and a stack of samples; cost is independent of n."""

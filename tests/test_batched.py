@@ -2,11 +2,13 @@
 
 The oracle is the scalar evaluation each operator had before the time axis
 was batched, copied here: one time per call, a Python loop over levels,
-phases and coordinates, and one int/int division per ratio.  The one
-deliberate change is that plain `Diagonal` entries and the shift weight are
-raised in the order of CPython's `c_powu` for every n, where the old code
-used `complex ** n` (a float exponent past n = 100, which loses the phase of
-a unit entry; see `TestIntPowers`).
+phases and coordinates, and one int/int division per ratio.  Two changes
+are deliberate.  Plain `Diagonal` entries and the shift weight are raised in
+the order of CPython's `c_powu` for every n, where the old code used
+`complex ** n` (a float exponent past n = 100, which loses the phase of a
+unit entry; see `TestIntPowers`).  The perturbed rotation's loss is the tail
+bound of `ModulusLadder.tail` written out term by term: the six-term float
+sum it replaced was no bound once 2n passed m_{L+6}.
 """
 
 import cmath
@@ -20,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import recurlab as rl
 from recurlab.opcore import CHUNK, CYCLE_CAP, FOLD_BLOCK, _block_of, blocks, row_norms
+from test_perturbed_rotation import tail_series
 
 P_KINDS = {"l1": 1.0, "l2": 2.0, "l3": 3.0, "sup": rl.SUP}
 
@@ -97,14 +100,19 @@ def old_pert_coeff(op, k, n):
     return mag * cmath.exp(1j * math.pi * ((r - 1) / m))
 
 
-def old_tail_loss(op, xnorm, n):
-    ext = [op.modulus.extended_m(k) for k in range(op.levels, op.levels + 7)]
-    total = last = 0.0
-    for prev, m_k in zip(ext, ext[1:]):
-        last = min(2 * n, m_k) / (2 * prev)
-        total += last
-    total += last
-    return op.norm_equiv_upper() * op.functional_bound * xnorm * total
+def tail_loss(op, xnorm, n):
+    """mu * ||x|| times the tail bound written out term by term: each term exactly while
+    2n > m_k, then that term plus twice the next, floored at 1 after a saturated term,
+    rounded up to a float."""
+    ext = op.modulus.extended_m
+    k, saturated = op.levels + 1, Fraction(0)
+    while 2 * n > ext(k):
+        saturated += Fraction(ext(k), 2 * ext(k - 1))
+        k += 1
+    rest = Fraction(n, ext(k - 1)) + Fraction(2 * n, ext(k))
+    bound = saturated + max(rest, 1) if saturated else rest
+    up = float(bound) if float(bound) >= bound else math.nextafter(float(bound), math.inf)
+    return op.norm_equiv_upper() * op.functional_bound * xnorm * up
 
 
 def old_perturbed(op, n, x):
@@ -116,7 +124,7 @@ def old_perturbed(op, n, x):
         c = old_pert_coeff(op, k, n)
         if c:
             y[k - 1] += c * complex(np.asarray(entry.alpha) @ head)
-    return y, old_tail_loss(op, x.norm(), n)
+    return y, tail_loss(op, x.norm(), n)
 
 
 def oracle(op, n, x):
@@ -215,18 +223,23 @@ def test_powers_rows_match_scalar_oracle(kind, pk, data):
 
 @pytest.mark.parametrize("fold", [1, 2, 3])
 def test_losses_equal_the_scalar_oracle_bit_for_bit(fold):
-    # a block of times gives the scalar loss exactly: every time 0..3000, the
-    # ladder times, huge times, a shallow operator whose tail saturates, and a
-    # 48-level ladder whose tail moduli are far past float range
+    # a block of times gives the one-time loss exactly, and bounds the series past the
+    # levels: every time 0..3000, the ladder times, huge times, a shallow operator whose
+    # tail saturates, and a 48-level ladder whose tail moduli are far past float range.
+    # The loss is the rounded-up tail times mu * ||x||, a product whose rounding may
+    # take half an ulp off, 2^-53 of it in the normal range
     rs = np.random.RandomState(fold)
     for op in (OPS[f"perturbed-{fold}", "l2"], rl.build_operator(fold, [1], dim_cap=16),
                rl.build_operator(fold, [1], min_levels=48, dim_cap=48)):
         x = vector(op, 2)
+        scale = Fraction(op._mu * x.norm()) * (1 - Fraction(1, 2 ** 53))
         big = [int(v) << int(s)
                for v, s in zip(rs.randint(1, 2 ** 62, 200), rs.randint(0, 400, 200))]
         for ns in (list(range(3001)), time_pool(op), big + [10 ** 299, 10 ** 301, 3 ** 2000]):
             got = op.losses(ns, rl.stack(op, [x]))[:, 0]
-            assert got.tolist() == [old_tail_loss(op, x.norm(), n) if n else 0.0 for n in ns]
+            assert got.tolist() == [op.loss(n, x) for n in ns]
+            assert all(Fraction(g) >= tail_series(op.modulus, n, op.levels + 1) * scale
+                       for n, g in zip(ns, got))
 
 
 @pytest.mark.parametrize("pk", P_KINDS)

@@ -121,7 +121,7 @@ class TestConfigHandling:
         code, out, err = run(["construct", "--config", cfg, "--out-dir", str(out_dir)], capsys)
         assert code == 1 and out == ""
         assert err.startswith("error: unknown config key 'operator.rule'")
-        assert not any(out_dir.iterdir())
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("extra", [{}, {"targets": [[1, 0, 0]]}],
                              ids=["plain", "with-target"])
@@ -133,7 +133,7 @@ class TestConfigHandling:
         code, out, err = run(["construct", "--config", cfg, "--out-dir", str(out_dir)], capsys)
         assert code == 1 and out == ""
         assert err == "error: mesh schedule must be positive\n"
-        assert not any(out_dir.iterdir())
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("mesh, at", [(["1e400", "1"], 0), ([1, "-1e400"], 1),
                                           ([10 ** 400, 1], 0)],
@@ -144,7 +144,7 @@ class TestConfigHandling:
         code, out, err = run(["construct", "--config", cfg, "--out-dir", str(out_dir)], capsys)
         assert code == 1 and out == ""
         assert err == f"error: 'operator.mesh[{at}]' is too large for a float\n"
-        assert not any(out_dir.iterdir())
+        assert not out_dir.exists()
 
     def test_bad_json_is_config_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -347,6 +347,15 @@ class TestConfigHandling:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot write {str(out_dir / 'operator.json')!r}: ")
         assert err.count("\n") == 1 and os.listdir(out_dir) == ["operator.json"]
+
+    def test_rejected_config_leaves_no_output_directory(self, tmp_path, capsys):
+        # the output directory is made on the first write, which a rejected config never reaches
+        cfg = write_cfg(tmp_path, "p.json", {
+            "horizon": 100, "delta": 0, "family": {"kind": "multiples", "p": 5}})
+        code, out, err = run(["period", "--config", cfg,
+                              "--out-dir", str(tmp_path / "a" / "b")], capsys)
+        assert (code, out, err) == (1, "", "error: delta must lie in (0, 1]\n")
+        assert not (tmp_path / "a").exists()
 
     def test_empty_depths_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "k.json", {

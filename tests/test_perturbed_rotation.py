@@ -25,6 +25,17 @@ def dense_matrix(op):
     return m
 
 
+def tail_series(lad, n, first):
+    """sum_{k >= first} min(2n, m_k) / (2 m_{k-1}) term by term, up to the first m_k > 2^64 * 2n."""
+    total, k = Fraction(0), first
+    while True:
+        m_k = lad.extended_m(k)
+        total += Fraction(min(2 * n, m_k), 2 * lad.extended_m(k - 1))
+        if m_k > 2 ** 64 * 2 * n:
+            return total
+        k += 1
+
+
 class TestModulusLadder:
     def test_head_block_is_unit(self):
         lad = pr.build_modulus_ladder(2, 10)
@@ -72,7 +83,33 @@ class TestModulusLadder:
             assert lad.coupling_sum(j) == ladder + Fraction(lad.m(j), lad.m(top) * g0) * (
                 1 + Fraction(2, g1))
         inv = sum((Fraction(1, lad.m(k - 1)) for k in range(op.head + 1, top + 1)), Fraction(0))
-        assert op.norm_bound() == 1.0 + op._mu * (float(inv) + lad.tail_inverse_sum())
+        g = lad.growth(top)
+        assert op.norm_bound() == 1.0 + op._mu * (float(inv) + (g + 2) / (lad.m(top) * g))
+
+    @pytest.mark.parametrize("fold", [1, 2, 3])
+    def test_tail_closed_forms(self, fold):
+        lad = pr.build_operator(fold).modulus
+        top = lad.levels
+        g0, g1 = lad.growth(top), lad.growth(top + 1)
+        assert lad.tail(1, top + 1) == Fraction(g0 + 2, lad.m(top) * g0)
+        assert lad.tail(1, top + 2) == Fraction(g1 + 2, lad.m(top) * g0 * g1)
+        assert lad.tail(0, top + 1) == 0 == lad.tail(0, top + 2)
+
+    @pytest.mark.parametrize("fold", [1, 2, 3])
+    def test_tail_is_nondecreasing_and_bounds_the_series(self, fold):
+        # the [1]-mesh ladder, shallow enough for every time below to saturate terms;
+        # m_k / 2 +- 1 straddle the times where term k saturates
+        lad = pr.build_operator(fold, [1]).modulus
+        top, rs = lad.levels, random.Random(fold)
+        ns = {0, 1, 2, 400, lad.m(top), 10 ** 40, 10 ** 100, 3 ** 2000}
+        for k in range(top + 1, top + 10):
+            m = lad.extended_m(k)
+            ns |= {m // 2 - 1, m // 2, m // 2 + 1, rs.randrange(1, m), rs.randrange(1, m)}
+        ns = sorted(ns)
+        for first in (top + 1, top + 2):
+            tails = [lad.tail(n, first) for n in ns]
+            assert tails == sorted(tails)
+            assert all(t >= tail_series(lad, n, first) for n, t in zip(ns, tails))
 
     def test_extended_continues_by_rule(self):
         lad = pr.build_modulus_ladder(2, 8)
@@ -327,6 +364,19 @@ class TestTruncationLoss:
             assert np.all(rl.opcore.row_norms(far - near, p) <= loss)
             checked += len(block)
         assert checked == len(times)
+
+
+    @pytest.mark.parametrize("fold", [1, 2, 3])
+    def test_loss_bounds_the_series_past_the_deep_reach(self, fold):
+        # past m_{L+6} the deep build above cannot check the loss, so compare it with
+        # the series itself; e_1 in the 1-norm has mu * ||x|| = 1 exactly
+        op = pr.build_operator(fold, [1], dim_cap=16, p=1.0)
+        x = rl.basis_vec(1, 16, 1.0)
+        assert op._mu * x.norm() == 1.0
+        ns = [10 ** 40, 10 ** 100, 3 ** 2000]
+        assert ns[-1] > op.modulus.extended_m(op.levels + 6)
+        for n, loss in zip(ns, op.losses(ns, rl.stack(op, [x]))[:, 0]):
+            assert loss / (op._mu * x.norm()) >= tail_series(op.modulus, n, op.levels + 1)
 
 
 class TestBuildOperator:
