@@ -5,10 +5,10 @@ computation, print a one-line summary, and drop deterministic report files
 into --out-dir in the formats requested.  The config file is the only
 input: no flag sets a config value, and each record's `config` echoes the
 file as read.  An omitted optional key takes its documented default (the
-window is a tenth of the horizon, at least 1; jMax is levels - 1).  Every
-value is checked by `Cfg.get` or `Cfg.items`, and unknown keys are rejected
-with the full field path, so typos fail loudly instead of silently running
-defaults.
+window is a tenth of the horizon, at least 1; jMax is levels - 1).  The
+whole file is checked against its command's entry in `_FORMS` as it is read:
+unknown keys and values of another form are rejected with the full field
+path, so typos fail loudly instead of silently running defaults.
 
 Exit codes: 0 success (including honest "not found" outcomes), 1 bad usage,
 bad config (non-finite numbers included) or an --out-dir that cannot be
@@ -97,66 +97,101 @@ def _load(path: str):
             return json.load(f, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deeply
         raise ConfigError(f"config is not valid JSON: {exc}") from None
 
 
-class Cfg:
-    """A config object with path-aware diagnostics and unknown-key rejection.
+class Tagged:
+    """The form of an object whose string `kind` picks the forms of the keys beside it."""
 
-    `get` and `items` check the values present in the file; an absent key
-    gives its default as it is, or is an error when there is none.
+    def __init__(self, noun: str, kinds: dict) -> None:
+        self.noun, self.kinds = noun, kinds
+
+
+def _checked(value, where: str, form):
+    """`value` checked against `form`: a kind of `_KINDS`, (kind, minimum), [form] for an
+    array of entries of that form, ([form], 1) for one that must not be empty, or a dict
+    or Tagged of the forms of an object's keys, which gives a Cfg."""
+    if isinstance(form, (dict, Tagged)):
+        return Cfg(value, form, where)
+    kind, minimum = form if isinstance(form, tuple) else (form, None)
+    if not isinstance(kind, list):
+        return _typed(value, where, kind, minimum)
+    check = _typed if type(kind[0]) is type else _checked  # a bare kind needs no dispatch
+    got = [check(v, f"{where}[{i}]", kind[0]) for i, v in enumerate(_typed(value, where, list))]
+    if minimum and not got:
+        raise ConfigError(f"{where!r} must not be empty")
+    return got
+
+
+class Cfg:
+    """A config object, checked against its form when it is built.
+
+    Unknown keys and present values of another form are refused in file
+    order, each with its full path.  `get` then only looks values up: an
+    absent key gives its default as it is, or is an error when there is none.
     """
 
-    def __init__(self, data, path: str = "") -> None:
+    def __init__(self, data, form, path: str = "") -> None:
         if not isinstance(data, dict):
             where = f" at {path!r}" if path else ""
             raise ConfigError(f"config{where} must be a JSON object")
-        self.data = data
-        self.path = path
+        if path.count(".") >= 64:  # a family can hold families: bound the recursion
+            raise ConfigError(f"config at {path!r} is nested too deeply")
+        self.data, self.path, self.values = data, path, {}
+        if isinstance(form, Tagged):
+            where = self._at("kind")
+            kind = _typed(data["kind"], where, str) if "kind" in data else self.get("kind")
+            if kind not in form.kinds:
+                raise ConfigError(f"{where!r}: unknown {form.noun} kind {kind!r}")
+            form = dict(form.kinds[kind], kind=str)
+        for key, value in data.items():
+            if key not in form:
+                raise ConfigError(f"unknown config key {self._at(key)!r}; "
+                                  f"allowed here: {', '.join(sorted(form))}")
+            self.values[key] = _checked(value, self._at(key), form[key])
 
     def _at(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
-    def allow(self, *keys: str) -> "Cfg":
-        for k in self.data:
-            if k not in keys:
-                raise ConfigError(
-                    f"unknown config key {self._at(k)!r}; "
-                    f"allowed here: {', '.join(sorted(keys))}")
-        return self
-
-    def has(self, key: str) -> bool:
-        return key in self.data
-
-    def raw(self, key: str, default=_MISSING):
-        if key in self.data:
-            return self.data[key]
+    def get(self, key: str, default=_MISSING):
+        if key in self.values:
+            return self.values[key]
         if default is _MISSING:
             raise ConfigError(f"missing required config key {self._at(key)!r}")
         return default
 
-    def get(self, key: str, kind, default=_MISSING, minimum=None):
-        """The value at `key` checked as `kind`, one of the keys of `_KINDS`."""
-        if key not in self.data:
-            return self.raw(key, default)
-        return _typed(self.data[key], self._at(key), kind, minimum)
 
-    def items(self, key: str, kind, default=_MISSING, minimum=None) -> list:
-        """The array at `key`, each entry checked as `kind` under its own path."""
-        if key not in self.data:
-            return self.raw(key, default)
-        where = self._at(key)
-        return [_typed(v, f"{where}[{i}]", kind, minimum)
-                for i, v in enumerate(self.get(key, list))]
+# ---------------------------------------------------------------------------
+# config forms: the keys each object accepts, and the form of each value
 
-    def sub(self, key: str) -> "Cfg":
-        return Cfg(self.raw(key), self._at(key))
-
-    def subs(self, key: str) -> list["Cfg"]:
-        """The array of objects at `key`, each a Cfg under its own path."""
-        where = self._at(key)
-        return [Cfg(v, f"{where}[{i}]") for i, v in enumerate(self.get(key, list))]
+_OPERATOR = {"foldN": (int, 1), "mesh": [Fraction], "targets": [[complex]],
+             "dimCap": (int, 1), "norm": (NORM, 1), "minLevels": (int, 0)}
+_FAMILY = Tagged("family", {})
+_FAMILY.kinds.update({
+    "explicit": {"members": [int]},
+    "progression": {"start": (int, 0), "diff": (int, 1)},
+    "multiples": {"p": (int, 1)},
+    "ip": {"generators": [int]},
+    "rotation-return": {"modulus": (int, 1), "eps": float},
+    "delta": {"base": _FAMILY},
+    **dict.fromkeys(["union", "intersection"], {"parts": ([_FAMILY], 1)}),
+})
+_VECTOR = Tagged("vector", {"basis": {"index": (int, 1)}, "dyadic-comb": {},
+                            "entries": {"values": [complex]}})
+_DENSITY = {"horizon": (int, 1), "window": (int, 1)}
+_FORMS = {
+    "families": {"family": _FAMILY, **_DENSITY},
+    "construct": {"operator": _OPERATOR},
+    "rigidity": {"operator": _OPERATOR, "jMax": (int, 1), "samples": [_VECTOR]},
+    "orbit": {"operator": _OPERATOR, "vector": _VECTOR, "eps": float, **_DENSITY},
+    "qr-search": {"operator": _OPERATOR, "rotationOnly": bool, "epsSchedule": [float],
+                  "samples": [_VECTOR], "maxLevel": (int, 1), "multipliers": [(int, 1)],
+                  "neighbors": bool, "scanHead": (int, 0)},
+    "period": {"family": _FAMILY, "delta": float, **_DENSITY},
+    "krylov": {"operator": _OPERATOR, "vector": _VECTOR, "depth": (int, 1),
+               "depths": ([(int, 1)], 1)},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -167,62 +202,38 @@ def family_set(cfg: Cfg, horizon: int) -> natset.NatSet:
 
 
 def _family_generator(cfg: Cfg, horizon: int):
-    kind = cfg.get("kind", str)
+    kind, get = cfg.get("kind"), cfg.get
     if kind == "explicit":
-        cfg.allow("kind", "members")
-        return natset.Explicit(tuple(cfg.items("members", int)))
+        return natset.Explicit(tuple(get("members")))
     if kind == "progression":
-        cfg.allow("kind", "start", "diff")
-        return natset.ArithmeticProgression(cfg.get("start", int, minimum=0),
-                                            cfg.get("diff", int, minimum=1))
+        return natset.ArithmeticProgression(get("start"), get("diff"))
     if kind == "multiples":
-        cfg.allow("kind", "p")
-        return natset.Multiples(cfg.get("p", int, minimum=1))
+        return natset.Multiples(get("p"))
     if kind == "ip":
-        cfg.allow("kind", "generators")
-        return natset.IpClosure(tuple(cfg.items("generators", int)))
+        return natset.IpClosure(tuple(get("generators")))
     if kind == "rotation-return":
-        cfg.allow("kind", "modulus", "eps")
-        return natset.RotationReturn(cfg.get("modulus", int, minimum=1), cfg.get("eps", float))
+        return natset.RotationReturn(get("modulus"), get("eps"))
     if kind == "delta":
-        cfg.allow("kind", "base")
-        return natset.DeltaOf(family_set(cfg.sub("base"), horizon))
-    if kind in ("union", "intersection"):
-        cfg.allow("kind", "parts")
-        parts = tuple(_family_generator(p, horizon) for p in cfg.subs("parts"))
-        if not parts:
-            raise ConfigError(f"{cfg._at('parts')!r} must not be empty")
-        return natset.UnionOf(parts) if kind == "union" else natset.IntersectionOf(parts)
-    raise ConfigError(f"{cfg._at('kind')!r}: unknown family kind {kind!r}")
+        return natset.DeltaOf(family_set(get("base"), horizon))
+    parts = tuple(_family_generator(p, horizon) for p in get("parts"))
+    return natset.UnionOf(parts) if kind == "union" else natset.IntersectionOf(parts)
 
 
 def operator_from(cfg: Cfg) -> pr.PerturbedRotation:
     from . import perturbed_rotation as pr
-    cfg.allow("foldN", "mesh", "targets", "dimCap", "norm", "minLevels")
-    fold_n = cfg.get("foldN", int, minimum=1)
-    mesh = cfg.items("mesh", Fraction, pr.DEFAULT_MESH)
-    where = cfg._at("targets")
-    targets = [[_typed(c, f"{where}[{i}][{j}]", complex) for j, c in enumerate(t)]
-               for i, t in enumerate(cfg.items("targets", list, []))]
-    dim_cap = cfg.get("dimCap", int, None, minimum=1)
-    p = cfg.get("norm", NORM, 2.0, minimum=1)
-    min_levels = cfg.get("minLevels", int, 0, minimum=0)
-    return pr.build_operator(fold_n, mesh, targets, dim_cap, p, min_levels)
+    get = cfg.get
+    return pr.build_operator(get("foldN"), get("mesh", pr.DEFAULT_MESH), get("targets", []),
+                             get("dimCap", None), get("norm", 2.0), get("minLevels", 0))
 
 
 def vector_from(cfg: Cfg, op: pr.PerturbedRotation) -> opcore.Vec:
     from . import opcore
-    kind = cfg.get("kind", str)
+    kind = cfg.get("kind")
     if kind == "basis":
-        cfg.allow("kind", "index")
-        return opcore.basis_vec(cfg.get("index", int, minimum=1), op.dim_cap, op.p)
-    if kind == "dyadic-comb":
-        cfg.allow("kind")
-        return opcore.dyadic_comb(op.dim_cap, op.p)
+        return opcore.basis_vec(cfg.get("index"), op.dim_cap, op.p)
     if kind == "entries":
-        cfg.allow("kind", "values")
-        return opcore.vec_of(cfg.items("values", complex), op.dim_cap, op.p)
-    raise ConfigError(f"{cfg._at('kind')!r}: unknown vector kind {kind!r}")
+        return opcore.vec_of(cfg.get("values"), op.dim_cap, op.p)
+    return opcore.dyadic_comb(op.dim_cap, op.p)
 
 
 def _normalized(x: opcore.Vec) -> opcore.Vec:
@@ -273,8 +284,8 @@ class Sink:
 
 def _horizon_window(cfg: Cfg) -> tuple[int, int]:
     """Horizon, and the density window that defaults to a tenth of it."""
-    horizon = cfg.get("horizon", int, minimum=0)
-    return horizon, cfg.get("window", int, max(1, horizon // 10), minimum=1)
+    horizon = cfg.get("horizon")
+    return horizon, cfg.get("window", max(1, horizon // 10))
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +293,8 @@ def _horizon_window(cfg: Cfg) -> tuple[int, int]:
 
 def cmd_families(cfg: Cfg, sink: Sink) -> int:
     """materialize a set family and profile it"""
-    cfg.allow("family", "horizon", "window")
     horizon, window = _horizon_window(cfg)
-    a = family_set(cfg.sub("family"), horizon)
+    a = family_set(cfg.get("family"), horizon)
     prof = natset.density_profile(a, window)
     payload = {"set": a.to_json_dict(), "density": prof.to_json_dict()}
     sink.json("family-report.json", report.make_record("family", cfg.data, payload))
@@ -304,8 +314,7 @@ def cmd_families(cfg: Cfg, sink: Sink) -> int:
 
 def cmd_construct(cfg: Cfg, sink: Sink) -> int:
     """build the operator and dump its anatomy"""
-    cfg.allow("operator")
-    op = operator_from(cfg.sub("operator"))
+    op = operator_from(cfg.get("operator"))
     desc = op.descriptor()
     h = report.descriptor_hash(desc)
     ladder = [{"level": k, "modulus": str(op.modulus.m(k))}
@@ -331,15 +340,13 @@ def cmd_construct(cfg: Cfg, sink: Sink) -> int:
 def cmd_rigidity(cfg: Cfg, sink: Sink) -> int:
     """rotation return defects along the ladder"""
     from . import opcore, perturbed_rotation as pr
-    cfg.allow("operator", "jMax", "samples")
-    op = operator_from(cfg.sub("operator"))
-    j_max = cfg.get("jMax", int, op.levels - 1, minimum=1)
+    op = operator_from(cfg.get("operator"))
+    j_max = cfg.get("jMax", op.levels - 1)
     if j_max > op.levels - 1:
-        raise ConfigError(f"{cfg._at('jMax')!r} must be <= levels - 1 = {op.levels - 1}")
-    if cfg.has("samples"):
-        samples = [_normalized(vector_from(s, op)) for s in cfg.subs("samples")]
-    else:
-        samples = op.head_basis() + [_normalized(opcore.dyadic_comb(op.dim_cap, op.p))]
+        raise ConfigError(f"'jMax' must be <= levels - 1 = {op.levels - 1}")
+    samples = cfg.get("samples", None)
+    samples = (op.head_basis() + [_normalized(opcore.dyadic_comb(op.dim_cap, op.p))]
+               if samples is None else [_normalized(vector_from(s, op)) for s in samples])
     rows = pr.rigidity_defects(op, range(1, j_max + 1), samples)
     worst = max([0.0] + [r.defect for r in rows])
     all_within = not any(r.defect > r.bound + 1e-12 for r in rows)
@@ -364,10 +371,9 @@ def cmd_rigidity(cfg: Cfg, sink: Sink) -> int:
 def cmd_orbit(cfg: Cfg, sink: Sink) -> int:
     """return set and density profile of one vector"""
     from . import dynamics
-    cfg.allow("operator", "vector", "eps", "horizon", "window")
-    op = operator_from(cfg.sub("operator"))
-    x = vector_from(cfg.sub("vector"), op)
-    eps = cfg.get("eps", float)
+    op = operator_from(cfg.get("operator"))
+    x = vector_from(cfg.get("vector"), op)
+    eps = cfg.get("eps")
     horizon, window = _horizon_window(cfg)
     hits, ds = dynamics.orbit_returns(op, x, eps, horizon)
     prof = natset.density_profile(hits, window)
@@ -390,21 +396,14 @@ def cmd_orbit(cfg: Cfg, sink: Sink) -> int:
 def cmd_qr_search(cfg: Cfg, sink: Sink) -> int:
     """greedy shrinking-defect return time search"""
     from . import dynamics, perturbed_rotation as pr
-    cfg.allow("operator", "rotationOnly", "epsSchedule", "samples", "maxLevel",
-              "multipliers", "neighbors", "scanHead")
-    op = operator_from(cfg.sub("operator"))
-    rotation_only = cfg.get("rotationOnly", bool, False)
-    schedule = cfg.items("epsSchedule", float)
-    max_level = cfg.get("maxLevel", int, op.levels, minimum=1)
-    multipliers = cfg.items("multipliers", int, [1], minimum=1)
-    neighbors = cfg.get("neighbors", bool, False)
-    scan_head = cfg.get("scanHead", int, 0, minimum=0)
-    candidates = pr.lattice_candidates(op.modulus, max_level,
-                                       tuple(multipliers), neighbors, scan_head)
-    if cfg.has("samples"):
-        samples = [vector_from(s, op) for s in cfg.subs("samples")]
-    else:
-        samples = op.head_basis()
+    op = operator_from(cfg.get("operator"))
+    rotation_only = cfg.get("rotationOnly", False)
+    schedule = cfg.get("epsSchedule")
+    candidates = pr.lattice_candidates(op.modulus, cfg.get("maxLevel", op.levels),
+                                       tuple(cfg.get("multipliers", [1])),
+                                       cfg.get("neighbors", False), cfg.get("scanHead", 0))
+    samples = cfg.get("samples", None)
+    samples = op.head_basis() if samples is None else [vector_from(s, op) for s in samples]
     target = op.rotation_part() if rotation_only else op
     result = dynamics.quasi_rigidity_search(target, samples, schedule, candidates)
     if isinstance(result, dynamics.QrWitness):
@@ -429,10 +428,9 @@ def cmd_qr_search(cfg: Cfg, sink: Sink) -> int:
 
 def cmd_period(cfg: Cfg, sink: Sink) -> int:
     """density threshold period classification"""
-    cfg.allow("family", "horizon", "window", "delta")
     horizon, window = _horizon_window(cfg)
-    delta = cfg.get("delta", float)
-    a = family_set(cfg.sub("family"), horizon)
+    delta = cfg.get("delta")
+    a = family_set(cfg.get("family"), horizon)
     cls = natset.classify_period_by_density(a, window, delta)
     exact = natset.detect_period(a)
     payload = {"classification": cls.to_json_dict(), "exactPeriod": exact}
@@ -445,15 +443,12 @@ def cmd_period(cfg: Cfg, sink: Sink) -> int:
 def cmd_krylov(cfg: Cfg, sink: Sink) -> int:
     """orbit span rank growth"""
     from . import opcore
-    cfg.allow("operator", "vector", "depth", "depths")
-    op = operator_from(cfg.sub("operator"))
-    x = vector_from(cfg.sub("vector"), op)
-    if cfg.has("depths"):
-        depths = cfg.items("depths", int, minimum=1)
-        if not depths:
-            raise ConfigError(f"{cfg._at('depths')!r} must not be empty")
-    else:
-        top = cfg.get("depth", int, min(op.dim_cap, 64), minimum=1)
+    if {"depth", "depths"} <= cfg.data.keys():
+        raise ConfigError("'depth' and 'depths' cannot both be set")
+    op = operator_from(cfg.get("operator"))
+    x = vector_from(cfg.get("vector"), op)
+    if (depths := cfg.get("depths", None)) is None:
+        top = cfg.get("depth", min(op.dim_cap, 64))
         depths = sorted({min(1 << i, top) for i in range(top.bit_length() + 1)})
     ranks = [opcore.krylov_rank(op, x, d) for d in depths]
     payload = {"depths": depths, "ranks": ranks}
@@ -509,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = Cfg(_load(args.config))
+        cfg = Cfg(_load(args.config), _FORMS[args.command])
         return _COMMANDS[args.command](cfg, Sink(args.out_dir, args.format or ["json"]))
     except (ConfigError, natset.RecurlabError, OverflowError) as exc:
         # the libraries raise these only on rejected input values, so the

@@ -44,6 +44,7 @@ from .opcore import (_I64_SAFE, SUP, Denominators, Diagonal, Operator, Vec,
                      basis_vec, diagonal_rotation, displacements, norm_kind, row_norms)
 
 TWO_PI = 2.0 * math.pi
+_FLOAT_MAX = int(np.finfo(np.float64).max)  # exactly: a Fraction <= it converts to a float
 
 
 class ConstructionError(RecurlabError):
@@ -427,10 +428,12 @@ class PerturbedRotation(Operator):
     def losses(self, ns: Iterable[int], xs: np.ndarray) -> np.ndarray:
         """mu * ||x|| * tail(n), an upper bound for every n on the perturbation the untruncated
         T^n adds past the levels, whose coefficients min(2n, m_k)/(2 m_{k-1}) `ModulusLadder.tail`
-        sums to an exact bound, rounded up to a float (OverflowError past float range)."""
+        sums to an exact bound, rounded up to a float: inf past float range, 0 for x = 0."""
         tails = [self.modulus.tail(n, self.levels + 1) for n in self._times(ns, xs)]
-        up = [math.nextafter(f, math.inf) if f < t else f for t, f in zip(tails, map(float, tails))]
-        return np.array(up, dtype=np.float64)[:, None] * (self._mu * row_norms(xs, self.p))
+        fs = (float(t) if t.numerator <= _FLOAT_MAX * t.denominator else math.inf for t in tails)
+        up = [math.nextafter(f, math.inf) if f < t else f for t, f in zip(tails, fs)]
+        rows, scale = np.array(up, dtype=np.float64)[:, None], self._mu * row_norms(xs, self.p)
+        return rows * scale if math.inf not in up else np.where(scale > 0, rows, 0.0) * scale
 
     def powers(self, ns: Iterable[int], xs: np.ndarray) -> np.ndarray:
         """T^n x for a block of times and a stack of samples; cost is independent of n."""

@@ -3,7 +3,10 @@ import copy
 import io
 import json
 import os
+import re
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +54,83 @@ def run_raising(tmp_path, capsys, monkeypatch, error):
     cfg = write_cfg(tmp_path, "f.json", {
         "horizon": 40, "family": {"kind": "multiples", "p": 5}})
     return run(["families", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+
+
+MULTIPLES = {"kind": "multiples", "p": 3}
+SMALL = {"foldN": 1, "dimCap": 16}
+BASIS = {"kind": "basis", "index": 1}
+
+
+def _in_family(family):
+    return {"family": family, "horizon": 10}
+
+
+def _in_orbit(vector):
+    return {"operator": SMALL, "vector": vector, "eps": 0.1, "horizon": 10}
+
+
+# the refusals of a config's shape at each level: an unknown key (with the keys
+# allowed there), a missing required key, an object of another JSON type, an
+# unknown kind
+STRUCTURAL_REFUSALS = [pytest.param(*case, id=name) for name, *case in [
+    ("top-unknown", "families", {"family": MULTIPLES, "horizon": 10, "windw": 2},
+     "unknown config key 'windw'; allowed here: family, horizon, window"),
+    ("top-missing", "families", {"family": MULTIPLES},
+     "missing required config key 'horizon'"),
+    ("top-missing-object", "construct", {}, "missing required config key 'operator'"),
+    ("top-not-object", "families", [1, 2], "config must be a JSON object"),
+    ("operator-unknown", "construct", {"operator": {"foldN": 1, "mash": [1]}},
+     "unknown config key 'operator.mash'; "
+     "allowed here: dimCap, foldN, mesh, minLevels, norm, targets"),
+    ("operator-missing", "construct", {"operator": {"dimCap": 16}},
+     "missing required config key 'operator.foldN'"),
+    ("operator-not-object", "construct", {"operator": [1]},
+     "config at 'operator' must be a JSON object"),
+    ("family-unknown", "families", _in_family({"kind": "multiples", "q": 3}),
+     "unknown config key 'family.q'; allowed here: kind, p"),
+    ("family-missing-kind", "families", _in_family({"p": 3}),
+     "missing required config key 'family.kind'"),
+    ("family-not-object", "families", _in_family(3), "config at 'family' must be a JSON object"),
+    ("family-unknown-kind", "period", dict(_in_family({"kind": "bogus"}), delta=0.5),
+     "'family.kind': unknown family kind 'bogus'"),
+    ("base-unknown", "families",
+     _in_family({"kind": "delta", "base": {"kind": "ip", "generators": [1], "x": 1}}),
+     "unknown config key 'family.base.x'; allowed here: generators, kind"),
+    ("base-missing", "families",
+     _in_family({"kind": "delta", "base": {"kind": "progression", "start": 1}}),
+     "missing required config key 'family.base.diff'"),
+    ("base-not-object", "families", _in_family({"kind": "delta", "base": "x"}),
+     "config at 'family.base' must be a JSON object"),
+    ("base-unknown-kind", "families", _in_family({"kind": "delta", "base": {"kind": "bogus"}}),
+     "'family.base.kind': unknown family kind 'bogus'"),
+    ("part-unknown", "families",
+     _in_family({"kind": "union", "parts": [{"kind": "multiples", "p": 2, "q": 3}]}),
+     "unknown config key 'family.parts[0].q'; allowed here: kind, p"),
+    ("part-missing", "families",
+     _in_family({"kind": "union", "parts": [{"kind": "rotation-return", "modulus": 5}]}),
+     "missing required config key 'family.parts[0].eps'"),
+    ("part-not-object", "families", _in_family({"kind": "union", "parts": [MULTIPLES, None]}),
+     "config at 'family.parts[1]' must be a JSON object"),
+    ("part-unknown-kind", "families",
+     _in_family({"kind": "intersection", "parts": [MULTIPLES, {"kind": "bogus"}]}),
+     "'family.parts[1].kind': unknown family kind 'bogus'"),
+    ("vector-unknown", "orbit", _in_orbit({"kind": "dyadic-comb", "index": 1}),
+     "unknown config key 'vector.index'; allowed here: kind"),
+    ("vector-missing", "orbit", _in_orbit({"kind": "entries"}),
+     "missing required config key 'vector.values'"),
+    ("vector-not-object", "orbit", _in_orbit("e1"), "config at 'vector' must be a JSON object"),
+    ("vector-unknown-kind", "krylov", {"operator": SMALL, "vector": {"kind": "bogus"}},
+     "'vector.kind': unknown vector kind 'bogus'"),
+    ("sample-unknown", "rigidity", {"operator": SMALL, "samples": [dict(BASIS, p=2)]},
+     "unknown config key 'samples[0].p'; allowed here: index, kind"),
+    ("sample-missing", "rigidity", {"operator": SMALL, "samples": [{"kind": "basis"}]},
+     "missing required config key 'samples[0].index'"),
+    ("sample-not-object", "rigidity", {"operator": SMALL, "samples": [1]},
+     "config at 'samples[0]' must be a JSON object"),
+    ("sample-unknown-kind", "qr-search",
+     {"operator": SMALL, "epsSchedule": [1.0], "samples": [BASIS, {"kind": "bogus"}]},
+     "'samples[1].kind': unknown vector kind 'bogus'"),
+]]
 
 
 class TestDeterminism:
@@ -357,12 +437,47 @@ class TestConfigHandling:
         assert (code, out, err) == (1, "", "error: delta must lie in (0, 1]\n")
         assert not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize("kind, depth, err", [
+        ("union", 63, None), ("delta", 63, None),
+        ("union", 64, "config at 'family" + ".parts[0]" * 64 + "' is nested too deeply"),
+        ("delta", 64, "config at 'family" + ".base" * 64 + "' is nested too deeply"),
+        ("union", 2000, "config is not valid JSON: maximum recursion depth exceeded"),
+    ])
+    def test_deep_nesting_is_a_config_error(self, tmp_path, capsys, kind, depth, err):
+        head, tail = ('{"kind": "union", "parts": [', ']}') if kind == "union" else \
+            ('{"kind": "delta", "base": ', '}')
+        p = tmp_path / "c.json"
+        p.write_text('{"horizon": 10, "family": ' + head * depth
+                     + '{"kind": "multiples", "p": 3}' + tail * depth + '}')
+        code, _, got = run(["families", "--config", str(p), "--out-dir", str(tmp_path / "o")],
+                           capsys)
+        if err is None:
+            assert (code, got) == (0, "")
+        else:
+            assert code == 1 and got.startswith(f"error: {err}") and got.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["families", "orbit", "period"])
+    def test_zero_horizon_is_refused_by_its_form(self, tmp_path, capsys, command):
+        # no window fits a horizon of 0, so the horizon itself is refused
+        cfg = write_cfg(tmp_path, "c.json", dict(dict(CLI_RUNS)[command], horizon=0))
+        code, out, err = run([command, "--config", cfg, "--out-dir", str(tmp_path / "o")],
+                             capsys)
+        assert (code, out, err) == (1, "", "error: 'horizon' must be an integer >= 1\n")
+
     def test_empty_depths_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "k.json", {
             "operator": OP, "vector": {"kind": "dyadic-comb"}, "depths": []})
         code, _, err = run(["krylov", "--config", cfg,
                             "--out-dir", str(tmp_path / "o")], capsys)
         assert code == 1 and err == "error: 'depths' must not be empty\n"
+
+    @pytest.mark.parametrize("command, config, err", STRUCTURAL_REFUSALS)
+    def test_structural_refusal_is_one_exact_line(self, tmp_path, capsys, command, config, err):
+        cfg = write_cfg(tmp_path, "c.json", config)
+        out_dir = tmp_path / "o"
+        code, out, got = run([command, "--config", cfg, "--out-dir", str(out_dir)], capsys)
+        assert (code, out, got) == (1, "", f"error: {err}\n")
+        assert not out_dir.exists()
 
 
 LEAF_VALUES = ["x", True, None, [], {}, -1, 0, 1.5, 2]
@@ -414,12 +529,12 @@ class TestLeafSubstitution:
 ACCEPTED = {
     **dict.fromkeys(["horizon", "window", "p", "start", "diff", "foldN", "dimCap",
                      "minLevels", "jMax", "index", "maxLevel", "multipliers", "scanHead",
-                     "depths"], {int}),
+                     "depths", "depth", "members", "generators", "modulus"], {int}),
     **dict.fromkeys(["eps", "delta", "epsSchedule"], {int, float}),
     **dict.fromkeys(["norm", "mesh"], {int, float, str}),
     **dict.fromkeys(["targets", "values"], {int, float, list}),
     "kind": {str},
-    "neighbors": {bool},
+    **dict.fromkeys(["neighbors", "rotationOnly"], {bool}),
 }
 # arrays whose entries are complex numbers, which may be [re, im] pairs, by depth
 COMPLEX_DEPTH = {"targets": 2, "values": 1}
@@ -432,6 +547,13 @@ TYPE_FUZZ_RUNS = CLI_RUNS + [
                "horizon": 20, "vector": {"kind": "entries", "values": [1, [0, 1]]}}),
     ("rigidity", {"operator": {"foldN": 1, "dimCap": 32}, "jMax": 4,
                   "samples": [{"kind": "basis", "index": 1}]}),
+    ("families", {"horizon": 60, "family": {"kind": "intersection", "parts": [
+        {"kind": "explicit", "members": [1, 2, 3, 4]}, {"kind": "ip", "generators": [1, 2]},
+        {"kind": "delta", "base": {"kind": "rotation-return", "modulus": 7, "eps": 0.1}}]}}),
+    ("qr-search", {"operator": {"foldN": 1, "dimCap": 16}, "epsSchedule": [1.0],
+                   "rotationOnly": True, "samples": [{"kind": "dyadic-comb"}]}),
+    ("krylov", {"operator": {"foldN": 1, "dimCap": 16}, "vector": {"kind": "basis", "index": 2},
+                "depth": 8}),
 ]
 
 
@@ -459,9 +581,43 @@ JSON_TYPES = {str: st.text(max_size=3), bool: st.booleans(), type(None): st.none
               dict: st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2)}
 
 
+def _innermost(form):
+    """`form` past its arrays and minimums: a kind, or the form of an object."""
+    return _innermost(form[0]) if isinstance(form, (list, tuple)) else form
+
+
+def _is_object(form) -> bool:
+    return isinstance(_innermost(form), (dict, cli.Tagged))
+
+
+def _keys(obj):
+    """(key, form) of each key an object form accepts, under any kind."""
+    if isinstance(obj, cli.Tagged):
+        return [("kind", str)] + [kv for keys in obj.kinds.values() for kv in keys.items()]
+    return list(obj.items())
+
+
+def _form_keys():
+    """(key, form) of each key of each object form reachable from cli._FORMS."""
+    objects, todo = [], list(cli._FORMS.values())
+    while todo:
+        obj = todo.pop()
+        if all(obj is not seen for seen in objects):
+            objects.append(obj)
+            todo += [_innermost(form) for _, form in _keys(obj) if _is_object(form)]
+    return [kv for obj in objects for kv in _keys(obj)]
+
+
+FORM_KEYS = _form_keys()
+
+
 class TestTypeFuzz:
     """One leaf of a config replaced by a JSON value of a type its key refuses:
     exit 1, with a message that names the leaf's full path."""
+
+    def test_fuzz_reaches_every_key_that_holds_no_object(self):
+        leaves = {key for key, form in FORM_KEYS if not _is_object(form)}
+        assert leaves == {key for _, _, _, key in FUZZ_LEAVES} == set(ACCEPTED)
 
     @settings(max_examples=200)
     @given(st.data())
@@ -476,6 +632,59 @@ class TestTypeFuzz:
             code = cli.main([command, "--config", cfg, "--out-dir", str(tmp / "o")])
         assert code == 1, err.getvalue()
         assert err.getvalue().startswith(f"error: {_where(path)!r} must be "), err.getvalue()
+
+
+SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "SCHEMAS.md"
+# the name docs/SCHEMAS.md gives each kind, singular and plural
+FORM_NAMES = {int: ("integer", "integers"), float: ("number", "numbers"),
+              str: ("string", "strings"), bool: ("true or false",) * 2,
+              complex: ("complex",) * 2, Fraction: ("exact value", "exact values"),
+              cli.NORM: ("norm", "norms"), dict: ("object", "objects")}
+
+
+def _form_name(form, plural=False) -> str:
+    if isinstance(form, list):
+        return f"{'arrays' if plural else 'array'} of {_form_name(form[0], True)}"
+    kind, minimum = form if isinstance(form, tuple) else (form, None)
+    if isinstance(kind, list):
+        return "non-empty " + _form_name(kind, plural)
+    name = FORM_NAMES[dict if isinstance(kind, (dict, cli.Tagged)) else kind][plural]
+    return name if minimum is None or kind is cli.NORM else f"{name} >= {minimum}"
+
+
+def _schema_tables(section: str) -> list[list[list[str]]]:
+    """The tables of `section` in docs/SCHEMAS.md: rows of stripped cells, header dropped."""
+    text = SCHEMAS.read_text(encoding="utf-8").split(f"\n## {section}\n")[1].split("\n## ")[0]
+    return [[[c.strip() for c in row.split("|")[1:-1]] for row in table.splitlines()[2:]]
+            for table in re.findall(r"(?:^\|.*\n)+", text, re.M)]
+
+
+def _names(cell: str) -> list[str]:
+    return re.findall(r"`([^`]+)`", cell)
+
+
+class TestSchemaDoc:
+    """docs/SCHEMAS.md states the keys and forms that cli._FORMS accepts."""
+
+    def test_key_table_gives_each_key_its_form(self):
+        _, keys = _schema_tables("Config values and errors")
+        doc = {(name.rsplit(".", 1)[-1], form) for names, form in keys for name in _names(names)}
+        assert doc == {(key, _form_name(form)) for key, form in FORM_KEYS}
+
+    def test_keys_by_command_are_the_accepted_keys(self):
+        commands, _ = _schema_tables("Config keys by command")
+        doc, command = set(), None
+        for names, key, _, _ in commands:
+            command = _names(names)[0] if names else command
+            doc.add((command, _names(key)[0]))
+        assert doc == {(c, key) for c, form in cli._FORMS.items() for key in form}
+
+    def test_kinds_table_lists_the_keys_of_each_kind(self):
+        _, kinds = _schema_tables("Config keys by command")
+        doc = {(obj, kind, tuple(_names(keys))) for obj, names, keys, _ in kinds
+               for kind in _names(names)}
+        assert doc == {(form.noun, kind, tuple(keys))
+                       for form in (cli._FAMILY, cli._VECTOR) for kind, keys in form.kinds.items()}
 
 
 def _payload(tmp_path, capsys, command, cfg, norm):
@@ -597,7 +806,7 @@ class TestFamiliesPlot:
         code, _, _ = run(["families", "--config", cfg, "--out-dir", out_dir,
                           "--format", "svg"], capsys)
         assert code == 0
-        a = cli.family_set(cli.Cfg(family), horizon)
+        a = cli.family_set(cli.Cfg(family, cli._FAMILY, "family"), horizon)
         with open(os.path.join(out_dir, "family-density.svg"), encoding="utf-8") as f:
             assert f.read() == scan_prefix_plot(a)
 
@@ -760,6 +969,18 @@ class TestKrylovCommand:
         with open(os.path.join(out_dir, "krylov.csv")) as f:
             lines = f.read().splitlines()
         assert lines[0] == "depth,rank" and lines[1] == "1,1"
+
+    @pytest.mark.parametrize("depth, err", [
+        ("abc", "'depth' must be an integer >= 1"),
+        (4, "'depth' and 'depths' cannot both be set"),
+    ], ids=["mistyped", "valid"])
+    def test_depth_beside_depths_is_refused(self, tmp_path, capsys, depth, err):
+        cfg = write_cfg(tmp_path, "k.json", {
+            "operator": {"foldN": 1, "dimCap": 16}, "vector": {"kind": "basis", "index": 1},
+            "depths": [2, 4], "depth": depth})
+        code, out, got = run(["krylov", "--config", cfg, "--out-dir", str(tmp_path / "o")],
+                             capsys)
+        assert (code, out, got) == (1, "", f"error: {err}\n")
 
 
 class TestFormatSelection:

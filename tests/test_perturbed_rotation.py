@@ -378,6 +378,15 @@ class TestTruncationLoss:
         for n, loss in zip(ns, op.losses(ns, rl.stack(op, [x]))[:, 0]):
             assert loss / (op._mu * x.norm()) >= tail_series(op.modulus, n, op.levels + 1)
 
+    def test_loss_past_float_range_is_infinite(self):
+        # inf is still an upper bound, and T^n x is still evaluated; a zero x loses nothing
+        op = pr.build_operator(1, [1], dim_cap=16)
+        n = 10 ** 200000
+        out = op.power(n, rl.basis_vec(1, 16))
+        assert out.loss == math.inf and np.all(np.isfinite(out.vec.coords.view(np.float64)))
+        losses = op.losses([n, 5], rl.stack(op, [rl.zero_vec(16), rl.basis_vec(1, 16)]))
+        assert losses[0].tolist() == [0.0, math.inf] and 0 < losses[1, 1] < math.inf
+
 
 class TestBuildOperator:
     def test_padding_reaches_min_levels(self):
