@@ -97,7 +97,7 @@ def _load(path: str):
             return json.load(f, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deeply
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from None
 
 
@@ -111,33 +111,46 @@ class Tagged:
 def _checked(value, where: str, form):
     """`value` checked against `form`: a kind of `_KINDS`, (kind, minimum), [form] for an
     array of entries of that form, ([form], 1) for one that must not be empty, or a dict
-    or Tagged of the forms of an object's keys, which gives a Cfg."""
-    if isinstance(form, (dict, Tagged)):
-        return Cfg(value, form, where)
-    kind, minimum = form if isinstance(form, tuple) else (form, None)
-    if not isinstance(kind, list):
-        return _typed(value, where, kind, minimum)
-    check = _typed if type(kind[0]) is type else _checked  # a bare kind needs no dispatch
-    got = [check(v, f"{where}[{i}]", kind[0]) for i, v in enumerate(_typed(value, where, list))]
-    if minimum and not got:
-        raise ConfigError(f"{where!r} must not be empty")
-    return got
+    or Tagged of the forms of an object's keys, which gives a Cfg.  Faults are refused in
+    file order.  Nested values wait on a list, not on the call stack, so checking takes
+    no stack frame per level of nesting."""
+    top: list = [None]
+    todo = [(value, where, form, top, 0)]
+    while todo:
+        value, where, form, into, slot = todo.pop()
+        kind, minimum = form if isinstance(form, tuple) else (form, None)
+        if isinstance(kind, Cfg):  # a key that the form of its object lacks
+            raise ConfigError(f"unknown config key {where!r}; "
+                              f"allowed here: {', '.join(sorted(kind.form))}")
+        if isinstance(kind, (dict, Tagged)):
+            into[slot] = got = Cfg(value, kind, where)
+            inner = [(v, got._at(k), got.form.get(k, got), got.values, k)
+                     for k, v in value.items()]
+        elif not isinstance(kind, list):
+            into[slot], inner = _typed(value, where, kind, minimum), []
+        elif not (entries := _typed(value, where, list)) and minimum:
+            raise ConfigError(f"{where!r} must not be empty")
+        elif isinstance(kind[0], (list, tuple, dict, Tagged)):
+            into[slot] = got = [None] * len(entries)
+            inner = [(v, f"{where}[{i}]", kind[0], got, i) for i, v in enumerate(entries)]
+        else:  # entries of a bare kind are checked at once
+            into[slot], inner = [_typed(v, f"{where}[{i}]", kind[0])
+                                 for i, v in enumerate(entries)], []
+        todo += reversed(inner)
+    return top[0]
 
 
 class Cfg:
-    """A config object, checked against its form when it is built.
+    """A config object as `_checked` makes it: `form` holds the forms of its keys.
 
-    Unknown keys and present values of another form are refused in file
-    order, each with its full path.  `get` then only looks values up: an
+    `get` only looks values up, since `_checked` has checked them all: an
     absent key gives its default as it is, or is an error when there is none.
     """
 
-    def __init__(self, data, form, path: str = "") -> None:
+    def __init__(self, data, form, path: str) -> None:
         if not isinstance(data, dict):
             where = f" at {path!r}" if path else ""
             raise ConfigError(f"config{where} must be a JSON object")
-        if path.count(".") >= 64:  # a family can hold families: bound the recursion
-            raise ConfigError(f"config at {path!r} is nested too deeply")
         self.data, self.path, self.values = data, path, {}
         if isinstance(form, Tagged):
             where = self._at("kind")
@@ -145,11 +158,7 @@ class Cfg:
             if kind not in form.kinds:
                 raise ConfigError(f"{where!r}: unknown {form.noun} kind {kind!r}")
             form = dict(form.kinds[kind], kind=str)
-        for key, value in data.items():
-            if key not in form:
-                raise ConfigError(f"unknown config key {self._at(key)!r}; "
-                                  f"allowed here: {', '.join(sorted(form))}")
-            self.values[key] = _checked(value, self._at(key), form[key])
+        self.form = form
 
     def _at(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
@@ -214,7 +223,7 @@ def _family_generator(cfg: Cfg, horizon: int):
     if kind == "rotation-return":
         return natset.RotationReturn(get("modulus"), get("eps"))
     if kind == "delta":
-        return natset.DeltaOf(family_set(get("base"), horizon))
+        return natset.DeltaOf(_family_generator(get("base"), horizon).materialize(horizon))
     parts = tuple(_family_generator(p, horizon) for p in get("parts"))
     return natset.UnionOf(parts) if kind == "union" else natset.IntersectionOf(parts)
 
@@ -259,7 +268,9 @@ class Sink:
     def want(self, fmt: str) -> bool:
         return fmt in self.formats
 
-    def _write(self, fmt: str, name: str, writer, *content) -> None:
+    def write(self, name: str, *content) -> None:
+        """`content` written to `name` by the report writer of its extension, if wanted."""
+        fmt = name.rsplit(".", 1)[1]
         if self.want(fmt):
             try:  # on the first write, so a rejected config leaves no directory behind
                 os.makedirs(self.out_dir, exist_ok=True)
@@ -268,18 +279,9 @@ class Sink:
                                   f"{exc.strerror}") from None
             path = os.path.join(self.out_dir, name)
             try:
-                writer(path, *content)
+                getattr(report, f"write_{fmt}")(path, *content)
             except OSError as exc:
                 raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from None
-
-    def json(self, name: str, record: dict) -> None:
-        self._write("json", name, report.write_json, record)
-
-    def csv(self, name: str, header, rows) -> None:
-        self._write("csv", name, report.write_csv, header, rows)
-
-    def svg(self, name: str, text: str) -> None:
-        self._write("svg", name, report.write_svg, text)
 
 
 def _horizon_window(cfg: Cfg) -> tuple[int, int]:
@@ -297,14 +299,14 @@ def cmd_families(cfg: Cfg, sink: Sink) -> int:
     a = family_set(cfg.get("family"), horizon)
     prof = natset.density_profile(a, window)
     payload = {"set": a.to_json_dict(), "density": prof.to_json_dict()}
-    sink.json("family-report.json", report.make_record("family", cfg.data, payload))
-    sink.csv("family-elements.csv", ["element"], [[e] for e in a.elements])
+    sink.write("family-report.json", report.make_record("family", cfg.data, payload))
+    sink.write("family-elements.csv", ["element"], [[e] for e in a.elements])
     if sink.want("svg"):
         # only the points the plot keeps, so the cost does not grow with the horizon
         ns = range(1, horizon + 1, report.plot_stride(horizon))
         xs = [float(n) for n in ns]
         ys = [a.count_in(1, n) / n for n in ns]
-        sink.svg("family-density.svg", report.line_plot_svg(
+        sink.write("family-density.svg", report.line_plot_svg(
             "Prefix density", "N", "count([1,N]) / N", [("density", xs, ys)]))
     print(f"family horizon={horizon} size={len(a)} "
           f"upperBanach={_frac_str(prof.upper_banach)} "
@@ -327,11 +329,11 @@ def cmd_construct(cfg: Cfg, sink: Sink) -> int:
     payload = {"descriptor": desc, "descriptorHash": h, "ladder": ladder,
                "grid": grid_rows, "couplingBounds": certs,
                "normEquivUpper": op.norm_equiv_upper()}
-    sink.json("operator.json", report.make_record("construct", cfg.data, payload))
-    sink.csv("grid.csv", ["level", "mesh", "coefficients"],
-             [[e.level, e.mesh,
-               ";".join(f"{c.real:+.12g}{c.imag:+.12g}j" for c in e.alpha)]
-              for e in op.grid.entries])
+    sink.write("operator.json", report.make_record("construct", cfg.data, payload))
+    sink.write("grid.csv", ["level", "mesh", "coefficients"],
+               [[e.level, e.mesh,
+                 ";".join(f"{c.real:+.12g}{c.imag:+.12g}j" for c in e.alpha)]
+                for e in op.grid.entries])
     print(f"operator foldN={op.fold_n} levels={op.levels} dimCap={op.dim_cap} "
           f"hash={h[:12]}")
     return 0
@@ -354,13 +356,13 @@ def cmd_rigidity(cfg: Cfg, sink: Sink) -> int:
                "points": [{"j": r.level, "returnTime": str(op.modulus.m(r.level)),
                            "defect": r.defect, "bound": r.bound,
                            "boundExact": _frac_str(r.bound_exact)} for r in rows]}
-    sink.json("rigidity.json", report.make_record("rigidity", cfg.data, payload))
-    sink.csv("rigidity.csv", ["j", "returnTime", "defect", "bound", "boundExact"],
-             [[r.level, str(op.modulus.m(r.level)), repr(r.defect), repr(r.bound),
-               _frac_str(r.bound_exact)] for r in rows])
+    sink.write("rigidity.json", report.make_record("rigidity", cfg.data, payload))
+    sink.write("rigidity.csv", ["j", "returnTime", "defect", "bound", "boundExact"],
+               [[r.level, str(op.modulus.m(r.level)), repr(r.defect), repr(r.bound),
+                 _frac_str(r.bound_exact)] for r in rows])
     if sink.want("svg"):
         js = [float(r.level) for r in rows]
-        sink.svg("rigidity.svg", report.line_plot_svg(
+        sink.write("rigidity.svg", report.line_plot_svg(
             "Rotation return defect", "j", "norm defect at time m_j",
             [("defect", js, [max(r.defect, 1e-17) for r in rows]),
              ("bound", js, [max(r.bound, 1e-17) for r in rows])], log_y=True))
@@ -380,11 +382,11 @@ def cmd_orbit(cfg: Cfg, sink: Sink) -> int:
     payload = {"eps": eps, "returnSet": hits.to_json_dict(),
                "density": prof.to_json_dict(),
                "descriptorHash": report.descriptor_hash(op.descriptor())}
-    sink.json("orbit.json", report.make_record("orbit", cfg.data, payload))
+    sink.write("orbit.json", report.make_record("orbit", cfg.data, payload))
     if sink.want("csv") or sink.want("svg"):
         ns = range(horizon + 1)
-        sink.csv("orbit.csv", ["n", "displacement"], zip(ns, ds))
-        sink.svg("orbit.svg", report.line_plot_svg(
+        sink.write("orbit.csv", ["n", "displacement"], zip(ns, ds))
+        sink.write("orbit.svg", report.line_plot_svg(
             "Orbit displacement", "n", "distance from start",
             [("displacement", [float(n) for n in ns], ds),
              ("eps", [0.0, float(horizon)], [eps, eps])]))
@@ -421,7 +423,7 @@ def cmd_qr_search(cfg: Cfg, sink: Sink) -> int:
                 f"{best and format(result.best_defect, '.6g')} certified={result.certified}")
     payload["rotationOnly"] = rotation_only
     payload["candidates"] = len(candidates)
-    sink.json("qr-search.json", report.make_record("qr-search", cfg.data, payload))
+    sink.write("qr-search.json", report.make_record("qr-search", cfg.data, payload))
     print(line)
     return 0
 
@@ -434,7 +436,7 @@ def cmd_period(cfg: Cfg, sink: Sink) -> int:
     cls = natset.classify_period_by_density(a, window, delta)
     exact = natset.detect_period(a)
     payload = {"classification": cls.to_json_dict(), "exactPeriod": exact}
-    sink.json("period.json", report.make_record("period", cfg.data, payload))
+    sink.write("period.json", report.make_record("period", cfg.data, payload))
     print(f"period dense={cls.dense} bound={cls.bound} period={cls.period} "
           f"exact={exact}")
     return 0
@@ -452,10 +454,10 @@ def cmd_krylov(cfg: Cfg, sink: Sink) -> int:
         depths = sorted({min(1 << i, top) for i in range(top.bit_length() + 1)})
     ranks = [opcore.krylov_rank(op, x, d) for d in depths]
     payload = {"depths": depths, "ranks": ranks}
-    sink.json("krylov.json", report.make_record("krylov", cfg.data, payload))
-    sink.csv("krylov.csv", ["depth", "rank"], list(zip(depths, ranks)))
+    sink.write("krylov.json", report.make_record("krylov", cfg.data, payload))
+    sink.write("krylov.csv", ["depth", "rank"], list(zip(depths, ranks)))
     if sink.want("svg"):
-        sink.svg("krylov.svg", report.line_plot_svg(
+        sink.write("krylov.svg", report.line_plot_svg(
             "Orbit span growth", "depth", "rank",
             [("rank", [float(d) for d in depths], [float(r) for r in ranks])]))
     print(f"krylov depth={depths[-1]} rank={ranks[-1]}")
@@ -465,15 +467,8 @@ def cmd_krylov(cfg: Cfg, sink: Sink) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
-_COMMANDS = {
-    "families": cmd_families,
-    "construct": cmd_construct,
-    "rigidity": cmd_rigidity,
-    "orbit": cmd_orbit,
-    "qr-search": cmd_qr_search,
-    "period": cmd_period,
-    "krylov": cmd_krylov,
-}
+_COMMANDS = {f.__name__[4:].replace("_", "-"): f for f in (
+    cmd_families, cmd_construct, cmd_rigidity, cmd_orbit, cmd_qr_search, cmd_period, cmd_krylov)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -504,12 +499,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = Cfg(_load(args.config), _FORMS[args.command])
+        cfg = _checked(_load(args.config), "", _FORMS[args.command])
         return _COMMANDS[args.command](cfg, Sink(args.out_dir, args.format or ["json"]))
     except (ConfigError, natset.RecurlabError, OverflowError) as exc:
         # the libraries raise these only on rejected input values, so the
         # configuration is still at fault
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # only the JSON decoder, the family builder and the record writer recurse, each
+        # along the nesting of the config, so it is nested past their reach
+        print("error: config is nested too deeply", file=sys.stderr)
         return 1
     except Exception as exc:
         # anything unanticipated is our bug, not the user's

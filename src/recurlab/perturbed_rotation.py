@@ -433,7 +433,7 @@ class PerturbedRotation(Operator):
         fs = (float(t) if t.numerator <= _FLOAT_MAX * t.denominator else math.inf for t in tails)
         up = [math.nextafter(f, math.inf) if f < t else f for t, f in zip(tails, fs)]
         rows, scale = np.array(up, dtype=np.float64)[:, None], self._mu * row_norms(xs, self.p)
-        return rows * scale if math.inf not in up else np.where(scale > 0, rows, 0.0) * scale
+        return np.where(scale > 0, rows, 0.0) * scale  # 0, not inf * 0 = nan, for x = 0
 
     def powers(self, ns: Iterable[int], xs: np.ndarray) -> np.ndarray:
         """T^n x for a block of times and a stack of samples; cost is independent of n."""

@@ -4,7 +4,9 @@ import io
 import json
 import os
 import re
+import sys
 import time
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -438,10 +440,11 @@ class TestConfigHandling:
         assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("kind, depth, err", [
-        ("union", 63, None), ("delta", 63, None),
-        ("union", 64, "config at 'family" + ".parts[0]" * 64 + "' is nested too deeply"),
-        ("delta", 64, "config at 'family" + ".base" * 64 + "' is nested too deeply"),
-        ("union", 2000, "config is not valid JSON: maximum recursion depth exceeded"),
+        # a union takes two JSON containers a level, a delta one: the decoder reads
+        # about 490 and 990 levels of them from the command line
+        ("union", 400, None), ("delta", 800, None),
+        ("union", 2000, "config is nested too deeply"),
+        ("delta", 2000, "config is nested too deeply"),
     ])
     def test_deep_nesting_is_a_config_error(self, tmp_path, capsys, kind, depth, err):
         head, tail = ('{"kind": "union", "parts": [', ']}') if kind == "union" else \
@@ -454,7 +457,25 @@ class TestConfigHandling:
         if err is None:
             assert (code, got) == (0, "")
         else:
-            assert code == 1 and got.startswith(f"error: {err}") and got.count("\n") == 1
+            assert (code, got) == (1, f"error: {err}\n")
+
+    def test_checking_takes_no_frame_per_level_and_building_refuses_past_its_reach(
+            self, tmp_path, capsys, monkeypatch):
+        family = {"kind": "multiples", "p": 3}
+        for _ in range(300):
+            family = {"kind": "delta", "base": family}
+        # past the decoder, as a config that it reads but the builder cannot reach
+        monkeypatch.setattr(cli, "_load", lambda path: {"horizon": 10, "family": family})
+        here, limit = len(traceback.extract_stack()), sys.getrecursionlimit()
+        sys.setrecursionlimit(here + 150)
+        try:
+            cfg = cli._checked(family, "family", cli._FAMILY)
+            code, out, err = run(["families", "--config", "c.json",
+                                  "--out-dir", str(tmp_path / "o")], capsys)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert cfg.get("base").get("kind") == "delta"
+        assert (code, out, err) == (1, "", "error: config is nested too deeply\n")
 
     @pytest.mark.parametrize("command", ["families", "orbit", "period"])
     def test_zero_horizon_is_refused_by_its_form(self, tmp_path, capsys, command):
@@ -806,7 +827,7 @@ class TestFamiliesPlot:
         code, _, _ = run(["families", "--config", cfg, "--out-dir", out_dir,
                           "--format", "svg"], capsys)
         assert code == 0
-        a = cli.family_set(cli.Cfg(family, cli._FAMILY, "family"), horizon)
+        a = cli.family_set(cli._checked(family, "family", cli._FAMILY), horizon)
         with open(os.path.join(out_dir, "family-density.svg"), encoding="utf-8") as f:
             assert f.read() == scan_prefix_plot(a)
 
