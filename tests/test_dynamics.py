@@ -56,6 +56,26 @@ class TestReturnSet:
             rl.return_set(default_op, e4, 0.1, -1)
 
 
+def test_decision_rules_at_the_threshold_and_on_ties():
+    """Returns are strict, search steps are not, and ties go to the first time."""
+    op, e = rl.diagonal_rotation([Fraction(1, 2)], dim_cap=4), rl.basis_vec(1, 4)
+    # e moves by exactly 2.0 at every odd time
+    assert rl.return_set(op, e, 2.0, 6).elements == (0, 2, 4, 6)
+    assert rl.commutant_return_inclusion(op, [1], e, 2.0, 6).return_count == 4
+    hit = rl.quasi_rigidity_search(op, [e], [2.0], [1, 2, 3])
+    assert (hit.times, hit.defects) == ((1,), (2.0,))
+    miss = rl.quasi_rigidity_search(op, [e], [1.0], [1, 3, 5])
+    assert isinstance(miss, rl.QrFailure)
+    assert (miss.best_defect, miss.best_time) == (2.0, 1)
+    # m - 1 and m + 1 move the head basis by the same float at a deep level
+    deep = rl.build_operator(1, dim_cap=16)
+    m = deep.modulus.m(8)
+    below, above = (pr.non_recurrence_scan(deep, [n]) for n in (m - 1, m + 1))
+    assert below.min_defect == above.min_defect
+    assert pr.non_recurrence_scan(deep, [m + 1, m - 1]) == pr.ScanReport(below.min_defect,
+                                                                          m - 1, 2)
+
+
 class TestQuasiRigiditySearch:
     def test_pair_returns_at_the_second_deep_modulus(self, default_op):
         cap = default_op.dim_cap
