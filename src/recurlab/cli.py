@@ -192,10 +192,10 @@ _DENSITY = {"horizon": (int, 1), "window": (int, 1)}
 _FORMS = {
     "families": {"family": _FAMILY, **_DENSITY},
     "construct": {"operator": _OPERATOR},
-    "rigidity": {"operator": _OPERATOR, "jMax": (int, 1), "samples": [_VECTOR]},
+    "rigidity": {"operator": _OPERATOR, "jMax": (int, 1), "samples": ([_VECTOR], 1)},
     "orbit": {"operator": _OPERATOR, "vector": _VECTOR, "eps": float, **_DENSITY},
-    "qr-search": {"operator": _OPERATOR, "rotationOnly": bool, "epsSchedule": [float],
-                  "samples": [_VECTOR], "maxLevel": (int, 1), "multipliers": [(int, 1)],
+    "qr-search": {"operator": _OPERATOR, "rotationOnly": bool, "epsSchedule": ([float], 1),
+                  "samples": ([_VECTOR], 1), "maxLevel": (int, 1), "multipliers": [(int, 1)],
                   "neighbors": bool, "scanHead": (int, 0)},
     "period": {"family": _FAMILY, "delta": float, **_DENSITY},
     "krylov": {"operator": _OPERATOR, "vector": _VECTOR, "depth": (int, 1),

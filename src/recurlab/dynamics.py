@@ -1,27 +1,24 @@
 """Return-time dynamics on truncated sequence space operators.
 
-Every probe reduces, in numpy, the `(times, d)` blocks of one evaluator,
-`displacements(op, ns, samples)` (in `opcore`, beside the kernels): d has one
-row per time and one column per sample, so a return set is
-`flatnonzero(d < eps)` and a search step the first row whose maximum is
-admissible.  The evaluator hands the closed-form `powers(ns, X)` the whole
-stack of samples at most `opcore.CHUNK` rows at a time, so a distance at time
-n costs the same whether n is 7 or 10**40 and scratch memory does not grow
-with the horizon; for an eventually periodic operator (`op.cycle()`) it
-evaluates each distinct power once.  Return sets land in `natset.NatSet`, the
-input of the density machinery.
+Every probe decides through `opcore.within`, whose docstring states the rules:
+the worst displacement over the samples at each time, against eps.  It reads
+the blocks of the evaluator `displacements(op, ns, samples)`, which hands the
+closed-form `powers(ns, X)` the whole stack of samples at most `opcore.CHUNK`
+rows at a time, so a distance at time n costs the same whether n is 7 or
+10**40 and scratch memory does not grow with the horizon; for an eventually
+periodic operator (`op.cycle()`) it evaluates each distinct power once.
+Return sets land in `natset.NatSet`, the input of the density machinery.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .natset import NatSet, RecurlabError
-from .opcore import Vec, displacements, stack
+from .opcore import Vec, stack, within
 from .perturbed_rotation import PerturbedRotation
 
 
@@ -40,20 +37,13 @@ def _check_return(eps: float, horizon: int) -> None:
 def orbit_returns(op, x: Vec, eps: float, horizon: int) -> tuple[NatSet, list[float]]:
     """The return set up to the horizon and || T^n x - x || for every n in 0..horizon."""
     _check_return(eps, horizon)
-    ds = _sweep(op, range(horizon + 1), x)
-    return NatSet(tuple(np.flatnonzero(ds < eps).tolist()), horizon), ds.tolist()
-
-
-def _sweep(op, ns: Iterable[int], x: Vec) -> np.ndarray:
-    """|| T^n x - x || for the n of ns (at least one) as one array."""
-    return np.concatenate([d[:, 0] for _, d in displacements(op, ns, [x])])
+    _, ds, ok = within(op, range(horizon + 1), [x], eps)
+    return NatSet(tuple(np.flatnonzero(ok).tolist()), horizon), ds.tolist()
 
 
 def return_set(op, x: Vec, eps: float, horizon: int) -> NatSet:
-    """{ n <= horizon : || T^n x - x || < eps }, strict inequality.
-
-    n = 0 is always a member since the displacement there is exactly zero.
-    """
+    """{ n <= horizon : || T^n x - x || < eps }, strict (`opcore.within`); n = 0 is always
+    a member, since the displacement there is exactly zero."""
     return orbit_returns(op, x, eps, horizon)[0]
 
 
@@ -110,10 +100,9 @@ def quasi_rigidity_search(op, samples: Sequence[Vec], eps_schedule: Sequence[flo
                           candidates: Iterable[int]) -> QrResult:
     """Greedy search for times n_1 < n_2 < ... with defect(n_k) <= eps_k.
 
-    defect(n) is the worst displacement over the samples.  Candidates are
-    consumed in increasing order; each step takes the least admissible time
-    beyond the previous one.  The eps schedule must be positive and
-    nonincreasing.
+    defect(n) is the worst displacement over the samples; each step takes the
+    least candidate past the previous one that `opcore.within` admits (<=).
+    The eps schedule must be positive and nonincreasing.
     """
     eps_list = [float(e) for e in eps_schedule]
     if not eps_list or any(e <= 0 for e in eps_list):
@@ -129,22 +118,16 @@ def quasi_rigidity_search(op, samples: Sequence[Vec], eps_schedule: Sequence[flo
     floor = op.center_defect_floor() if _covers_head_basis(op, samples) else None
     times: list[int] = []
     defects: list[float] = []
-    prev = 0
     for step, eps in enumerate(eps_list, start=1):
-        best_d = best_n = None
-        for block, d in displacements(op, cand[bisect_right(cand, prev):], samples):
-            worst = d.max(axis=1)
-            ok = np.flatnonzero(worst <= eps)
-            if ok.size:
-                break
-            i = int(worst.argmin())  # the first minimum on ties
-            if best_d is None or worst[i] < best_d:
-                best_d, best_n = float(worst[i]), int(block[i])
-        else:  # no admissible time: the best defect seen and its first time, if any
-            return QrFailure(step, eps, best_d, best_n, floor)
-        prev = int(block[ok[0]])
-        times.append(prev)
-        defects.append(float(worst[ok[0]]))
+        _, worst, ok = within(op, cand, samples, eps, strict=False, stop=True)
+        if not ok.any():  # no admissible time: the first minimum seen, if any
+            i = worst.argmin() if worst.size else None
+            best = (None, None) if i is None else (float(worst[i]), cand[i])
+            return QrFailure(step, eps, *best, floor)
+        i = int(ok.argmax())
+        times.append(cand[i])
+        defects.append(float(worst[i]))
+        cand = cand[i + 1:]
     return QrWitness(tuple(times), tuple(defects))
 
 
@@ -209,8 +192,8 @@ def commutant_return_inclusion(op, coeffs: Sequence[complex], x: Vec,
         raise DynamicsError("polynomial norm bound vanished")
     sx, loss = polynomial_apply(op, coeffs, x)
     # the tight return times of x (0 among them), then S x moved by each
-    returns = np.flatnonzero(_sweep(op, range(horizon + 1), x) < eps / scale)
-    bad = np.flatnonzero(~(_sweep(op, returns, sx) < eps))
+    returns = np.flatnonzero(within(op, range(horizon + 1), [x], eps / scale)[2])
+    bad = np.flatnonzero(~within(op, returns, [sx], eps)[2])
     first = int(returns[bad[0]]) if bad.size else None
     count = int(bad[0]) + 1 if bad.size else len(returns)
     return InclusionReport(first is None, first, horizon + 1, scale, count, loss)

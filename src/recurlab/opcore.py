@@ -12,8 +12,8 @@ protocol:
   `check(x)` rejects a vector of another size or norm;
 - `powers(ns, X)`: T^n x for a block of natural times and an `(s, dim_cap)`
   stack of samples (`stack(op, samples)`) as a `(len(ns), s, dim_cap)` array,
-  the work that does not depend on x done once per block; the one kernel
-  every probe reads through `displacements(op, ns, samples)`;
+  the work that does not depend on x done once per block; the one kernel,
+  read by `displacements(op, ns, samples)` and decided on by `within`;
 - `losses(ns, X)`: beside it, a `(len(ns), s)` array that upper-bounds the
   mass of T^n x the truncation discarded (zero for maps that never push
   coordinates past dim_cap); `power(n, x)` (an `Applied(vec, loss)` pair)
@@ -311,6 +311,23 @@ def displacements(op, ns: Iterable[int], samples: Sequence[Vec]) -> Iterator[tup
                 norms[new[i: i + rows]] = _distances(op, new[i: i + rows], xs)
             known[new] = True
         yield times, norms[keys]
+
+
+def within(op, ns: Iterable[int], samples: Sequence[Vec], eps: float = math.inf,
+           strict: bool = True, stop: bool = False) -> tuple[np.ndarray, ...]:
+    """(times, worst, ok) over the blocks of `displacements(op, ns, samples)`, one array
+    each: worst[t] = max_i || T^n x_i - x_i || at n = times[t], and ok[t] the decision every
+    probe takes: worst < eps if strict (n is a return time), worst <= eps if not (n is an
+    admissible search step); a NaN is never within.  Ties go to the first time, as
+    `ok.argmax()` and `worst.argmin()` give it.  With stop the sweep ends after the first
+    block with an ok time, so a greedy search reads no block past it."""
+    out = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=bool))]
+    for times, d in displacements(op, ns, samples):
+        worst = d.max(axis=1)
+        out.append((times, worst, worst < eps if strict else worst <= eps))
+        if stop and out[-1][2].any():
+            break
+    return tuple(map(np.concatenate, zip(*out)))
 
 
 def _distances(op, ns: list[int], xs: np.ndarray) -> np.ndarray:

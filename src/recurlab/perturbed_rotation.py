@@ -41,7 +41,7 @@ import numpy as np
 
 from .natset import RecurlabError
 from .opcore import (_I64_SAFE, SUP, Denominators, Diagonal, Operator, Vec,
-                     basis_vec, diagonal_rotation, displacements, norm_kind, row_norms)
+                     basis_vec, diagonal_rotation, displacements, norm_kind, row_norms, within)
 
 TWO_PI = 2.0 * math.pi
 _FLOAT_MAX = int(np.finfo(np.float64).max)  # exactly: a Fraction <= it converts to a float
@@ -477,15 +477,14 @@ class RigidityDefect:
 def rigidity_defects(op: PerturbedRotation, levels: Iterable[int],
                      samples: Sequence[Vec]) -> list[RigidityDefect]:
     """Worst rotation return error || R^{m_j} x - x || over the samples per level j, from
-    one `displacements` call over the times m_j.  Each bound, 2*pi*K times the rational
+    one `opcore.within` sweep over the times m_j.  Each bound, 2*pi*K times the rational
     coupling sum over k > j, holds for every unit vector: samples should be normalized."""
     levels = list(levels)
     if not all(1 <= j <= op.levels - 1 for j in levels):
         raise ConstructionError(f"levels {levels} not all in 1..{op.levels - 1}")
     for x in samples:
         op.check(x)
-    worst = [row.max(initial=0.0) for _, d in displacements(
-        op.rotation_part(), [op.modulus.m(j) for j in levels], samples) for row in d]
+    _, worst, _ = within(op.rotation_part(), [op.modulus.m(j) for j in levels], samples)
     return [RigidityDefect(j, float(w), TWO_PI * op.functional_bound * float(exact), exact)
             for j, w, exact in zip(levels, worst, map(op.modulus.coupling_sum, levels))]
 
@@ -577,11 +576,11 @@ class ScanReport:
 
 def non_recurrence_scan(op: PerturbedRotation, candidates: Iterable[int]) -> ScanReport:
     """Minimize the head-basis defect max_i || T^n e_i - e_i || over the candidates,
-    read from `displacements` over the stack `op.head_basis()`."""
+    read by `opcore.within` over the stack `op.head_basis()`."""
     times = [n for n in sorted(set(int(c) for c in candidates)) if n >= 1]
     if not times:
         raise ConstructionError("no candidates to scan")
-    worst = np.concatenate([d.max(axis=1) for _, d in displacements(op, times, op.head_basis())])
+    _, worst, _ = within(op, times, op.head_basis())
     i = int(worst.argmin())  # the first minimum
     return ScanReport(float(worst[i]), times[i], len(times))
 

@@ -1058,7 +1058,7 @@ class TestSampleValidation:
                                    {"kind": "basis", "index": 31}]},
          "error: basis index 31 outside 1..30\n"),
         ("qr-search", {"operator": SMALL_OP, "epsSchedule": [1.0], "samples": []},
-         "error: need at least one sample vector\n"),
+         "error: 'samples' must not be empty\n"),
         ("rigidity", {"operator": SMALL_OP,
                       "samples": [{"kind": "entries", "values": [1] * 31}]},
          "error: more entries than dim_cap\n"),
@@ -1079,11 +1079,18 @@ class TestSampleValidation:
                              capsys)
         assert (code, out, got) == (1, "", err)
 
-    def test_no_rigidity_samples_is_a_zero_defect(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, "s.json", {"operator": SMALL_OP, "jMax": 3, "samples": []})
-        code, out, _ = run(["rigidity", "--config", path, "--out-dir", str(tmp_path / "o")],
-                           capsys)
-        assert code == 0 and "worstDefect=0 " in out
+    @pytest.mark.parametrize("command, cfg", [
+        ("rigidity", {"operator": SMALL_OP, "jMax": 3, "samples": []}),
+        ("qr-search", {"operator": SMALL_OP, "epsSchedule": [], "samples": []}),
+    ])
+    def test_empty_samples_or_schedule_is_a_config_error(self, tmp_path, capsys, command, cfg):
+        # a worst defect over no samples would be a verdict about no vector
+        path = write_cfg(tmp_path, "s.json", cfg)
+        code, out, err = run([command, "--config", path, "--out-dir", str(tmp_path / "o")],
+                             capsys)
+        key = "epsSchedule" if command == "qr-search" else "samples"
+        assert (code, out, err) == (1, "", f"error: {key!r} must not be empty\n")
+        assert not (tmp_path / "o").exists()
 
     def test_library_probes_reject_foreign_samples(self):
         op = rl.build_operator(2, dim_cap=30)

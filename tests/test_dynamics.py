@@ -1,6 +1,8 @@
+import ast
 import functools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +76,39 @@ def test_decision_rules_at_the_threshold_and_on_ties():
     assert below.min_defect == above.min_defect
     assert pr.non_recurrence_scan(deep, [m + 1, m - 1]) == pr.ScanReport(below.min_defect,
                                                                           m - 1, 2)
+
+
+class _Readers(ast.NodeVisitor):
+    """The dotted scopes (module.function) that name `displacements` in code."""
+
+    def __init__(self, module: str) -> None:
+        self.scope, self.found = [module], set()
+
+    def visit_FunctionDef(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Name(self, node) -> None:
+        if node.id == "displacements":
+            self.found.add(".".join(self.scope))
+
+    def visit_Attribute(self, node) -> None:
+        if node.attr == "displacements":
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_only_the_reducer_and_the_witness_read_displacements():
+    # every other probe decides through `opcore.within`, so the rules above have one home
+    readers = set()
+    for path in sorted(Path(rl.__file__).parent.glob("*.py")):
+        visitor = _Readers(path.stem)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        readers |= visitor.found
+    assert readers == {"opcore.within", "perturbed_rotation.recurrence_witness"}
 
 
 class TestQuasiRigiditySearch:
