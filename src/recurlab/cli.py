@@ -401,7 +401,10 @@ def cmd_qr_search(cfg: Cfg, sink: Sink) -> int:
     op = operator_from(cfg.get("operator"))
     rotation_only = cfg.get("rotationOnly", False)
     schedule = cfg.get("epsSchedule")
-    candidates = pr.lattice_candidates(op.modulus, cfg.get("maxLevel", op.levels),
+    max_level = cfg.get("maxLevel", op.levels)
+    if max_level > op.levels:
+        raise ConfigError(f"'maxLevel' must be <= levels = {op.levels}")
+    candidates = pr.lattice_candidates(op.modulus, max_level,
                                        tuple(cfg.get("multipliers", [1])),
                                        cfg.get("neighbors", False), cfg.get("scanHead", 0))
     samples = cfg.get("samples", None)

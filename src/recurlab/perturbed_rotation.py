@@ -482,6 +482,8 @@ def rigidity_defects(op: PerturbedRotation, levels: Iterable[int],
     levels = list(levels)
     if not all(1 <= j <= op.levels - 1 for j in levels):
         raise ConstructionError(f"levels {levels} not all in 1..{op.levels - 1}")
+    if not samples:
+        raise ConstructionError("need at least one sample vector")
     for x in samples:
         op.check(x)
     _, worst, _ = within(op.rotation_part(), [op.modulus.m(j) for j in levels], samples)
@@ -544,8 +546,9 @@ def recurrence_witness(op: PerturbedRotation, vectors: Sequence[Vec],
     Grid levels whose functional lies within max(grid_tol, mesh) of the
     tuple's annihilator are selected in increasing order; each selected level
     k contributes the return time m_{k-1} and the per-vector displacement of
-    T^{m_{k-1}}.  At least one level must fall within grid_tol itself,
-    otherwise the grid is too coarse for the request and that is an error.
+    T^{m_{k-1}}, read from `displacements` as it is: nothing is decided from it.
+    At least one level must fall within grid_tol itself, or the grid is too
+    coarse for the request: that is an error, raised before any sweep.
     """
     finest = op.grid.finest_mesh
     if grid_tol < finest:
@@ -557,12 +560,12 @@ def recurrence_witness(op: PerturbedRotation, vectors: Sequence[Vec],
         d = float(np.max(np.abs(np.asarray(entry.alpha) - alpha)))
         if d <= max(grid_tol, entry.mesh):
             chosen.append((entry, d, op.modulus.m(entry.level - 1)))
-    times = [t for _, _, t in chosen]
-    dists = [row for _, d in displacements(op, times, vectors) for row in d.tolist()]
     if not any(d <= grid_tol for _, d, _ in chosen):
         raise GridResolutionError(
             f"no grid entry within {grid_tol:g} of the annihilator; "
             f"finest available mesh is {finest:g}")
+    times = [t for _, _, t in chosen]
+    dists = [row for _, d in displacements(op, times, vectors) for row in d.tolist()]
     return [WitnessPoint(e.level, e.mesh, d, t, tuple(ds))
             for (e, d, t), ds in zip(chosen, dists)]
 

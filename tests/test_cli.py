@@ -946,6 +946,17 @@ class TestQrSearchCommand:
         assert pay["found"] is False and pay["step"] == 2 and pay["candidates"] == 1
         assert pay["bestDefect"] is None and pay["bestTime"] is None
 
+    @pytest.mark.parametrize("command, extra, err", [
+        ("qr-search", {"epsSchedule": [1.0], "maxLevel": 99}, "'maxLevel' must be <= levels = 16"),
+        ("rigidity", {"jMax": 99}, "'jMax' must be <= levels - 1 = 15")])
+    def test_level_past_the_built_ladder_is_a_config_error(self, tmp_path, capsys, command,
+                                                           extra, err):
+        out_dir = tmp_path / "o"
+        cfg = write_cfg(tmp_path, "q.json", {"operator": {"foldN": 1, "dimCap": 16}, **extra})
+        code, out, got = run([command, "--config", cfg, "--out-dir", str(out_dir)], capsys)
+        assert (code, out, got) == (1, "", f"error: {err}\n")
+        assert not out_dir.exists()
+
     def test_records_refuse_nonfinite_floats(self, tmp_path):
         with pytest.raises(ValueError):
             report.write_json(str(tmp_path / "r.json"), {"x": float("inf")})

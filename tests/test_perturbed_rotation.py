@@ -473,6 +473,8 @@ class TestRigidity:
             pr.rigidity_defects(default_op, [3], [rl.basis_vec(1, default_op.dim_cap + 1)])
         with pytest.raises(pr.ConstructionError):
             pr.rigidity_defects(default_op, [3], [rl.basis_vec(1, default_op.dim_cap, p=1.0)])
+        with pytest.raises(pr.ConstructionError, match="^need at least one sample vector$"):
+            pr.rigidity_defects(default_op, [3], [])
 
     def test_level_range_checked(self, default_op):
         with pytest.raises(pr.ConstructionError):
@@ -576,6 +578,17 @@ class TestRecurrenceWitness:
         op_seeded = pr.build_operator(2, targets=[tuple(alpha)], dim_cap=40)
         points = pr.recurrence_witness(op_seeded, vecs, grid_tol=0.01)
         assert any(p.grid_distance <= 0.01 for p in points)
+
+    def test_coarse_grid_is_refused_before_any_displacement(self, monkeypatch):
+        op = pr.build_operator(2, dim_cap=40)
+        vecs = [rl.vec_of([1, 0.37, 0], dim_cap=40), rl.vec_of([0, 0.11, 1], dim_cap=40)]
+
+        def no_sweep(*args):
+            raise AssertionError("swept before refusing")
+
+        monkeypatch.setattr(pr, "displacements", no_sweep)
+        with pytest.raises(pr.GridResolutionError, match="^no grid entry within 0.01 "):
+            pr.recurrence_witness(op, vecs, grid_tol=0.01)
 
     def test_witness_point_json_shape(self, default_op):
         vecs = [rl.basis_vec(1, default_op.dim_cap),
