@@ -37,7 +37,7 @@ def _check_return(eps: float, horizon: int) -> None:
 def orbit_returns(op, x: Vec, eps: float, horizon: int) -> tuple[NatSet, list[float]]:
     """The return set up to the horizon and || T^n x - x || for every n in 0..horizon."""
     _check_return(eps, horizon)
-    _, ds, ok = within(op, range(horizon + 1), [x], eps)
+    ds, ok = within(op, range(horizon + 1), [x], eps)
     return NatSet(tuple(np.flatnonzero(ok).tolist()), horizon), ds.tolist()
 
 
@@ -119,9 +119,9 @@ def quasi_rigidity_search(op, samples: Sequence[Vec], eps_schedule: Sequence[flo
     times: list[int] = []
     defects: list[float] = []
     for step, eps in enumerate(eps_list, start=1):
-        _, worst, ok = within(op, cand, samples, eps, strict=False, stop=True)
+        worst, ok = within(op, cand, samples, eps, strict=False, stop=True)
         if not ok.any():  # no admissible time: the first minimum seen, if any
-            i = worst.argmin() if worst.size else None
+            i = int(worst.argmin()) if cand else None
             best = (None, None) if i is None else (float(worst[i]), cand[i])
             return QrFailure(step, eps, *best, floor)
         i = int(ok.argmax())
@@ -192,8 +192,8 @@ def commutant_return_inclusion(op, coeffs: Sequence[complex], x: Vec,
         raise DynamicsError("polynomial norm bound vanished")
     sx, loss = polynomial_apply(op, coeffs, x)
     # the tight return times of x (0 among them), then S x moved by each
-    returns = np.flatnonzero(within(op, range(horizon + 1), [x], eps / scale)[2])
-    bad = np.flatnonzero(~within(op, returns, [sx], eps)[2])
+    returns = np.flatnonzero(within(op, range(horizon + 1), [x], eps / scale)[1])
+    bad = np.flatnonzero(~within(op, returns, [sx], eps)[1])
     first = int(returns[bad[0]]) if bad.size else None
     count = int(bad[0]) + 1 if bad.size else len(returns)
     return InclusionReport(first is None, first, horizon + 1, scale, count, loss)

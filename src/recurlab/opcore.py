@@ -314,18 +314,18 @@ def displacements(op, ns: Iterable[int], samples: Sequence[Vec]) -> Iterator[tup
 
 
 def within(op, ns: Iterable[int], samples: Sequence[Vec], eps: float = math.inf,
-           strict: bool = True, stop: bool = False) -> tuple[np.ndarray, ...]:
-    """(times, worst, ok) over the blocks of `displacements(op, ns, samples)`, one array
-    each: worst[t] = max_i || T^n x_i - x_i || at n = times[t], and ok[t] the decision every
-    probe takes: worst < eps if strict (n is a return time), worst <= eps if not (n is an
-    admissible search step); a NaN is never within.  Ties go to the first time, as
+           strict: bool = True, stop: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(worst, ok), each one array over the blocks of `displacements(op, ns, samples)`:
+    worst[t] = max_i || T^n x_i - x_i || at the t-th time n of ns, and ok[t] the decision
+    every probe takes: worst < eps if strict (n is a return time), worst <= eps if not (n
+    is an admissible search step); a NaN is never within.  Ties go to the first time, as
     `ok.argmax()` and `worst.argmin()` give it.  With stop the sweep ends after the first
     block with an ok time, so a greedy search reads no block past it."""
-    out = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=bool))]
-    for times, d in displacements(op, ns, samples):
+    out = [(np.zeros(0), np.zeros(0, dtype=bool))]
+    for _, d in displacements(op, ns, samples):
         worst = d.max(axis=1)
-        out.append((times, worst, worst < eps if strict else worst <= eps))
-        if stop and out[-1][2].any():
+        out.append((worst, worst < eps if strict else worst <= eps))
+        if stop and out[-1][1].any():
             break
     return tuple(map(np.concatenate, zip(*out)))
 

@@ -486,7 +486,7 @@ def rigidity_defects(op: PerturbedRotation, levels: Iterable[int],
         raise ConstructionError("need at least one sample vector")
     for x in samples:
         op.check(x)
-    _, worst, _ = within(op.rotation_part(), [op.modulus.m(j) for j in levels], samples)
+    worst = within(op.rotation_part(), [op.modulus.m(j) for j in levels], samples)[0]
     return [RigidityDefect(j, float(w), TWO_PI * op.functional_bound * float(exact), exact)
             for j, w, exact in zip(levels, worst, map(op.modulus.coupling_sum, levels))]
 
@@ -583,7 +583,7 @@ def non_recurrence_scan(op: PerturbedRotation, candidates: Iterable[int]) -> Sca
     times = [n for n in sorted(set(int(c) for c in candidates)) if n >= 1]
     if not times:
         raise ConstructionError("no candidates to scan")
-    _, worst, _ = within(op, times, op.head_basis())
+    worst = within(op, times, op.head_basis())[0]
     i = int(worst.argmin())  # the first minimum
     return ScanReport(float(worst[i]), times[i], len(times))
 
