@@ -1,5 +1,6 @@
 import ast
 import functools
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import recurlab as rl
-from recurlab import dynamics as dyn
+from recurlab import dynamics as dyn, opcore
 from recurlab import perturbed_rotation as pr
 from recurlab.natset import ArithmeticProgression, Multiples, NatSet
 
@@ -76,6 +77,14 @@ def test_decision_rules_at_the_threshold_and_on_ties():
     assert below.min_defect == above.min_defect
     assert pr.non_recurrence_scan(deep, [m + 1, m - 1]) == pr.ScanReport(below.min_defect,
                                                                           m - 1, 2)
+
+
+def test_a_stopped_sweep_reads_no_block_past_its_first_hit():
+    op, e = rl.diagonal_rotation([Fraction(1, 2)], dim_cap=4), rl.basis_vec(1, 4)
+    # an endless sweep ends with its first block, which holds the return at n = 2
+    worst, ok = opcore.within(op, itertools.count(1), [e], 0.5, strict=False, stop=True)
+    assert len(worst) == opcore.FOLD_BLOCK and worst[:2].tolist() == [2.0, 0.0]
+    assert ok.argmax() == 1
 
 
 class _Readers(ast.NodeVisitor):
