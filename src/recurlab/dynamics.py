@@ -121,8 +121,7 @@ def quasi_rigidity_search(op, samples: Sequence[Vec], eps_schedule: Sequence[flo
     for step, eps in enumerate(eps_list, start=1):
         worst, ok = within(op, cand, samples, eps, strict=False, stop=True)
         if not ok.any():  # no admissible time: the first minimum seen, if any
-            i = int(worst.argmin()) if cand else None
-            best = (None, None) if i is None else (float(worst[i]), cand[i])
+            best = (float(worst.min()), cand[int(worst.argmin())]) if cand else (None, None)
             return QrFailure(step, eps, *best, floor)
         i = int(ok.argmax())
         times.append(cand[i])

@@ -321,13 +321,14 @@ def within(op, ns: Iterable[int], samples: Sequence[Vec], eps: float = math.inf,
     is an admissible search step); a NaN is never within.  Ties go to the first time, as
     `ok.argmax()` and `worst.argmin()` give it.  With stop the sweep ends after the first
     block with an ok time, so a greedy search reads no block past it."""
-    out = [(np.zeros(0), np.zeros(0, dtype=bool))]
+    decide = np.less if strict else np.less_equal
+    ds = [np.zeros((0, len(samples)))]
     for _, d in displacements(op, ns, samples):
-        worst = d.max(axis=1)
-        out.append((worst, worst < eps if strict else worst <= eps))
-        if stop and out[-1][1].any():
+        ds.append(d)
+        if stop and decide(d.max(axis=1), eps).any():
             break
-    return tuple(map(np.concatenate, zip(*out)))
+    worst = np.concatenate(ds).max(axis=1)
+    return worst, decide(worst, eps)
 
 
 def _distances(op, ns: list[int], xs: np.ndarray) -> np.ndarray:
